@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .trace import (
     ObservationWindow,
-    RequestEvent,
     Trace,
     TraceParseError,
     TraceSummary,
@@ -43,23 +42,15 @@ from .shuffle import (
     run_semi_experiments,
 )
 from .estimators import (
-    DocEstimate,
-    DocObservation,
     EmpiricalJointSample,
     build_joint_sample,
     estimate_catalog_rate,
-    estimate_doc,
-    estimate_lifespan,
-    estimate_rate,
-    observe_documents,
     rank_frequency,
     solve_n_prime,
-    write_estimates_csv,
 )
 from .boxmodel import (
     CharacteristicTime,
     WorkingSetModel,
-    box_hit_ratio,
     box_hit_ratio_curve,
     box_working_set,
     characteristic_time,

@@ -17,15 +17,14 @@ classic IRM (static catalog) Che approximation is included as a baseline.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
 from .estimators import EmpiricalJointSample
-from .lrusim import HitRatioCurve
+from .lrusim import HitRatioCurve, check_cache_sizes
 
 __all__ = [
     "WorkingSetModel",
@@ -36,7 +35,6 @@ __all__ = [
     "characteristic_time",
     "expected_hits_per_doc",
     "mean_expected_hits",
-    "box_hit_ratio",
     "box_hit_ratio_curve",
     "irm_che_curve",
 ]
@@ -70,6 +68,13 @@ def _gap_weight(x):
     )
     out = np.where(x < SERIES_THRESHOLD, series, exact)
     return out if out.ndim else float(out)
+
+
+def _by_lifespan(lam, tau, t, active, expired):
+    """Select per pair between the branch for a lifespan covering `t`
+    (tau >= t) and the branch for a lifespan shorter than `t`. Every
+    piecewise formula of the model splits at this one breakpoint."""
+    return np.where(tau >= t, active(lam, tau, t), expired(lam, tau, t))
 
 
 def _ws_pair_active(lam, tau, t):
@@ -132,11 +137,7 @@ def box_working_set(t, gamma: float, lambdas, taus):
     if len(lam) == 0:
         return np.zeros_like(t_arr) if t_arr.ndim else 0.0
     tt = np.atleast_1d(t_arr)[:, None]
-    per_pair = np.where(
-        tau >= tt,
-        _ws_pair_active(lam, tau, tt),
-        _ws_pair_expired(lam, tau, tt),
-    )
+    per_pair = _by_lifespan(lam, tau, tt, _ws_pair_active, _ws_pair_expired)
     out = gamma * per_pair.mean(axis=1)
     return out if t_arr.ndim else float(out[0])
 
@@ -171,11 +172,7 @@ def repeat_doc_window_mean(lam, tau, t):
         raise ValueError("t must be non-negative")
     lam = np.asarray(lam, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    out = np.where(
-        tau >= t_arr,
-        _repeat_pair_active(lam, tau, t_arr),
-        _repeat_pair_expired(lam, tau, t_arr),
-    )
+    out = _by_lifespan(lam, tau, t_arr, _repeat_pair_active, _repeat_pair_expired)
     return out if out.ndim else float(out)
 
 
@@ -203,13 +200,8 @@ class WorkingSetModel:
         if self.sample.n2 == 0:
             return noise
         tt = np.atleast_1d(t_arr)[:, None]
-        lam, tau = self.sample.lambdas, self.sample.taus
-        kernel = np.where(
-            tau >= tt,
-            _repeat_pair_active(lam, tau, tt),
-            _repeat_pair_expired(lam, tau, tt),
-        ).mean(axis=1)
-        out = noise + self.gamma_hat * kernel
+        kernel = repeat_doc_window_mean(self.sample.lambdas, self.sample.taus, tt)
+        out = noise + self.gamma_hat * kernel.mean(axis=1)
         return out if t_arr.ndim else float(out[0])
 
 
@@ -230,75 +222,75 @@ class CharacteristicTime:
 
 
 def characteristic_time(
-    cache_size: float,
-    working_set: Callable[[float], float],
+    cache_sizes,
+    working_set: Callable[[np.ndarray], np.ndarray],
     initial_upper: float = 1.0,
-    max_growth: int = 4096,
-) -> CharacteristicTime:
-    """Invert a monotone working-set function at a cache size.
+) -> List[CharacteristicTime]:
+    """Invert a monotone working-set function at every cache size at once.
 
-    Grows the upper bracket geometrically (factor 2, starting from
-    `initial_upper`, typically the observation window) until the working
-    set reaches `cache_size`, then bisects to a residual of at most
-    ``1e-6 * cache_size``.
+    Each size grows its upper bracket geometrically (factor 2, starting
+    from `initial_upper`, typically the observation window) until the
+    working set reaches it, then bisects to a residual of at most
+    ``1e-6 * C``. The sizes still open share one `working_set` call per
+    step, on the array of their window lengths, and each takes the steps
+    it would take alone. Returns one CharacteristicTime per size.
 
     Raises
     ------
     ValueError
-        When the working set saturates below `cache_size` (the cache is
-        larger than the reachable catalog).
+        When the working set stops growing (or the bracket overflows)
+        below a cache size: the cache is larger than the reachable catalog.
     """
-    if cache_size <= 0:
+    sizes = np.atleast_1d(np.asarray(cache_sizes, dtype=float))
+    if np.any(sizes <= 0):
         raise ValueError("cache_size must be positive")
     if initial_upper <= 0:
         raise ValueError("initial_upper must be positive")
-    lo = 0.0
-    hi = float(initial_upper)
-    val = working_set(hi)
-    grown = 0
-    while val < cache_size:
-        prev = val
-        lo = hi
-        hi *= 2.0
-        val = working_set(hi)
-        grown += 1
-        if grown > max_growth or not math.isfinite(hi) or val <= prev:
+    lo = np.zeros_like(sizes)
+    hi = np.full_like(sizes, float(initial_upper))
+    val = np.asarray(working_set(hi), dtype=float)
+    grow = val < sizes
+    while np.any(grow):
+        prev = val[grow]
+        lo[grow] = hi[grow]
+        hi[grow] *= 2.0
+        val[grow] = working_set(hi[grow])
+        stuck = np.flatnonzero(grow)[(val[grow] <= prev) | ~np.isfinite(hi[grow])]
+        if len(stuck):
+            i = stuck[0]
             raise ValueError(
                 f"cache larger than reachable catalog: working set "
-                f"saturates near {val:g} below C={cache_size:g}"
+                f"saturates near {val[i]:g} below C={sizes[i]:g}"
             )
-    tol = T_C_RESIDUAL_FACTOR * cache_size
-    t = hi
-    residual = abs(val - cache_size)
+        grow = val < sizes
+    tol = T_C_RESIDUAL_FACTOR * sizes
+    t = hi.copy()
+    residual = np.abs(val - sizes)
     for _ in range(200):
-        if residual <= tol:
+        bisect = ~(residual <= tol)
+        if not np.any(bisect):
             break
-        mid = 0.5 * (lo + hi)
-        v = working_set(mid)
-        t, residual = mid, abs(v - cache_size)
-        if v < cache_size:
-            lo = mid
-        else:
-            hi = mid
-    return CharacteristicTime(t_c=t, cache_size=float(cache_size), residual=residual)
+        mid = 0.5 * (lo[bisect] + hi[bisect])
+        v = np.asarray(working_set(mid), dtype=float)
+        t[bisect] = mid
+        residual[bisect] = np.abs(v - sizes[bisect])
+        below = v < sizes[bisect]
+        lo[bisect] = np.where(below, mid, lo[bisect])
+        hi[bisect] = np.where(below, hi[bisect], mid)
+    return [
+        CharacteristicTime(t_c=float(tc), cache_size=float(c), residual=float(r))
+        for tc, c, r in zip(t, sizes, residual)
+    ]
 
 
-def _poisson_excess(x):
-    """x - 1 + exp(-x): the expected count beyond the first of a
-    Poisson(x) draw. Cancels to O(x^2) for small x, handled by series."""
-    x = np.asarray(x, dtype=float)
-    exact = x + np.expm1(-x)
-    series = (
-        0.5 * x * x * (1 - x / 3.0 + x * x / 12.0 - x**3 / 60.0 + x**4 / 360.0)
-    )
-    out = np.where(x < SERIES_THRESHOLD, series, exact)
-    return out if out.ndim else float(out)
-
-
-def _hits_short_doc(lam, tau):
+def _hits_short_doc(lam, tau, t_c):
     """Expected hits when the whole lifespan fits under t_C: every request
-    after the first hits, so n - 1 in expectation over Poisson counts."""
-    return _poisson_excess(lam * tau)
+    after the first hits, so x - 1 + exp(-x) with x = lam*tau, the mean
+    Poisson count beyond the first. That cancels to O(x^2) for small x,
+    handled by series. Takes `t_c`, unused, to share the branch signature."""
+    x = np.asarray(lam * tau, dtype=float)
+    series = 0.5 * x * x * (1 - x / 3.0 + x * x / 12.0 - x**3 / 60.0 + x**4 / 360.0)
+    return np.where(x < SERIES_THRESHOLD, series, x + np.expm1(-x))
 
 
 def _hits_long_doc(lam, tau, t_c):
@@ -327,32 +319,41 @@ def expected_hits_per_doc(lam, tau, t_c):
         raise ValueError("t_c must be non-negative")
     lam = np.asarray(lam, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    out = np.where(
-        tau < t_c,
-        _hits_short_doc(lam, tau),
-        _hits_long_doc(lam, tau, t_c),
-    )
+    out = _by_lifespan(lam, tau, t_c, _hits_long_doc, _hits_short_doc)
     return out if out.ndim else float(out)
 
 
-def mean_expected_hits(lambdas, taus, t_c) -> float:
-    """Population mean of :func:`expected_hits_per_doc`."""
+def mean_expected_hits(lambdas, taus, t_c):
+    """Population mean of :func:`expected_hits_per_doc`, one per t_C.
+
+    Returns a float for a scalar `t_c`, an array for a 1-d `t_c`.
+    """
     lam = np.asarray(lambdas, dtype=float)
     if len(lam) == 0:
         raise ValueError("empty population")
-    return float(np.mean(expected_hits_per_doc(lam, np.asarray(taus, float), t_c)))
+    t_arr = np.asarray(t_c, dtype=float)
+    tt = np.atleast_1d(t_arr)[:, None]
+    out = expected_hits_per_doc(lam, np.asarray(taus, float), tt).mean(axis=1)
+    return out if t_arr.ndim else float(out[0])
 
 
-def box_hit_ratio(
-    sample: EmpiricalJointSample, gamma_hat: float, cache_size: float
-) -> float:
-    """Predicted LRU hit ratio at one cache size from an empirical sample.
+def box_hit_ratio_curve(
+    sample: EmpiricalJointSample, gamma_hat: float, sizes: Sequence[int]
+):
+    """Predicted LRU hit-ratio curve over a cache-size grid.
 
-    Inverts the estimated working set at `cache_size`, averages the
-    per-document expected hits over the sample, and divides by the mean
-    request count per document. Single-request documents produce no hits
-    but dilute the denominator by ``n1/n2`` requests per estimable
-    document.
+    Inverts the estimated working set at every cache size, averages the
+    per-document expected hits over the sample at each t_C, and divides
+    by the mean request count per document. Single-request documents
+    produce no hits but dilute the denominator by ``n1/n2`` requests per
+    estimable document.
+
+    Returns
+    -------
+    (HitRatioCurve, list of CharacteristicTime)
+        The curve shares the conventions of the simulated one (relative
+        size is against the distinct documents of the source trace); the
+        characteristic times are returned for diagnostics.
 
     Raises
     ------
@@ -361,45 +362,16 @@ def box_hit_ratio(
     """
     if sample.n2 == 0:
         raise ValueError("no estimable documents")
+    sizes = check_cache_sizes(sizes)
     model = WorkingSetModel(gamma_hat=gamma_hat, sample=sample)
-    tc = characteristic_time(cache_size, model, initial_upper=sample.window)
-    numerator = mean_expected_hits(sample.lambdas, sample.taus, tc.t_c)
+    times = characteristic_time(sizes, model, initial_upper=sample.window)
+    t_c = np.array([tc.t_c for tc in times])
+    hits = mean_expected_hits(sample.lambdas, sample.taus, t_c)
     denominator = sample.mean_n_multi + sample.n1 / sample.n2
-    return numerator / denominator
-
-
-def box_hit_ratio_curve(
-    sample: EmpiricalJointSample, gamma_hat: float, sizes: Sequence[int]
-):
-    """Predicted hit-ratio curve over a cache-size grid.
-
-    Returns
-    -------
-    (HitRatioCurve, list of CharacteristicTime)
-        The curve shares the conventions of the simulated one (relative
-        size is against the distinct documents of the source trace); the
-        characteristic times are returned for diagnostics.
-    """
-    if sample.n2 == 0:
-        raise ValueError("no estimable documents")
-    sizes = np.asarray(sizes, dtype=np.int64)
-    if len(sizes) == 0 or sizes[0] < 1 or np.any(np.diff(sizes) <= 0):
-        raise ValueError("sizes must be positive and strictly ascending")
-    model = WorkingSetModel(gamma_hat=gamma_hat, sample=sample)
-    denominator = sample.mean_n_multi + sample.n1 / sample.n2
-    times = [
-        characteristic_time(int(c), model, initial_upper=sample.window) for c in sizes
-    ]
-    ratios = np.array(
-        [
-            mean_expected_hits(sample.lambdas, sample.taus, tc.t_c) / denominator
-            for tc in times
-        ]
-    )
     curve = HitRatioCurve(
         cache_sizes=sizes,
         relative_sizes=sizes / sample.distinct_docs,
-        hit_ratios=ratios,
+        hit_ratios=hits / denominator,
     )
     return curve, times
 
@@ -423,26 +395,20 @@ def irm_che_curve(
         raise ValueError("doc_counts must be positive")
     if window <= 0:
         raise ValueError("window must be positive")
-    sizes = np.asarray(sizes, dtype=np.int64)
-    if len(sizes) == 0 or sizes[0] < 1 or np.any(np.diff(sizes) <= 0):
-        raise ValueError("sizes must be positive and strictly ascending")
+    sizes = check_cache_sizes(sizes)
     rates = counts / window
     total = counts.sum()
     m = len(counts)
 
     def occupancy(t):
-        return float(np.sum(_one_minus_exp(rates * t)))
+        return np.sum(_one_minus_exp(rates * t[:, None]), axis=1)
 
-    ratios = np.empty(len(sizes), dtype=float)
-    clamped = False
-    for i, c in enumerate(sizes):
-        if c >= m:
-            ratios[i] = 1.0 - m / total
-            clamped = True
-            continue
-        tc = characteristic_time(float(c), occupancy, initial_upper=float(window))
-        ratios[i] = float(np.sum(counts * _one_minus_exp(rates * tc.t_c)) / total)
-    if clamped:
+    ratios = np.full(len(sizes), 1.0 - m / total)
+    inside = sizes < m
+    times = characteristic_time(sizes[inside], occupancy, initial_upper=float(window))
+    t_c = np.array([tc.t_c for tc in times])[:, None]
+    ratios[inside] = np.sum(counts * _one_minus_exp(rates * t_c), axis=1) / total
+    if not np.all(inside):
         warnings.warn(
             "cache sizes >= document count clamped to the cold-miss ceiling",
             stacklevel=2,

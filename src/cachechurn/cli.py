@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .boxmodel import box_hit_ratio_curve, irm_che_curve, box_working_set
 from .estimators import build_joint_sample, estimate_catalog_rate, rank_frequency
-from .lrusim import hit_ratio_curve, log_size_grid, write_curve_csv
+from .lrusim import check_cache_sizes, hit_ratio_curve, write_curve_csv
 from .shuffle import RANDOMIZATION_KINDS, randomize, run_semi_experiments
 from .synth import GeneratorConfig, generate_box_trace, monte_carlo_distinct_docs
 from .trace import TraceParseError, consolidate_sessions, parse_trace, serialize_trace, trace_stats
@@ -45,6 +45,21 @@ class _UsageError(Exception):
     """Bad flag value; maps to exit code 2."""
 
 
+def _range_spec(spec: str, number, least, top=None):
+    """Values of a ``log:LO:HI:N`` or ``lin:LO:HI:N`` spec, or None when
+    `spec` is not one. LO and HI are read with `number`, HI may be the
+    word `max` when `top` is given, and LO must be at least `least`."""
+    if not spec.startswith(("log:", "lin:")):
+        return None
+    kind, lo_s, hi_s, n_s = spec.split(":")
+    lo = number(lo_s)
+    hi = top if top is not None and hi_s == "max" else number(hi_s)
+    n = int(n_s)
+    if lo < least or hi < lo or n < 1:
+        raise ValueError
+    return (np.geomspace if kind == "log" else np.linspace)(lo, hi, n)
+
+
 def _parse_grid_spec(spec: str, max_size: int) -> np.ndarray:
     """Resolve a cache-size grid spec.
 
@@ -53,22 +68,10 @@ def _parse_grid_spec(spec: str, max_size: int) -> np.ndarray:
     list ``1,2,5,10``. Duplicates after rounding collapse.
     """
     try:
-        if spec.startswith(("log:", "lin:")):
-            kind, lo_s, hi_s, n_s = spec.split(":")
-            lo = int(lo_s)
-            hi = max_size if hi_s == "max" else int(hi_s)
-            n = int(n_s)
-            if lo < 1 or hi < lo or n < 1:
-                raise ValueError
-            if kind == "log":
-                sizes = np.geomspace(lo, hi, n)
-            else:
-                sizes = np.linspace(lo, hi, n)
+        sizes = _range_spec(spec, int, 1, max_size)
+        if sizes is not None:
             return np.unique(np.rint(sizes).astype(np.int64))
-        sizes = np.array([int(tok) for tok in spec.split(",")], dtype=np.int64)
-        if len(sizes) == 0 or sizes[0] < 1 or np.any(np.diff(sizes) <= 0):
-            raise ValueError
-        return sizes
+        return check_cache_sizes([int(tok) for tok in spec.split(",")])
     except ValueError:
         raise _UsageError(f"bad --sizes spec {spec!r}")
 
@@ -76,16 +79,24 @@ def _parse_grid_spec(spec: str, max_size: int) -> np.ndarray:
 def _parse_t_grid(spec: str) -> list:
     """Resolve a time grid: comma list of ms values, or lin/log:LO:HI:N."""
     try:
-        if spec.startswith(("log:", "lin:")):
-            kind, lo_s, hi_s, n_s = spec.split(":")
-            lo, hi, n = float(lo_s), float(hi_s), int(n_s)
-            if lo < 0 or hi < lo or n < 1:
-                raise ValueError
-            fn = np.geomspace if kind == "log" else np.linspace
-            return [float(v) for v in fn(lo, hi, n)]
-        return [float(tok) for tok in spec.split(",")]
+        values = _range_spec(spec, float, 0)
+        if values is None:
+            values = spec.split(",")
+        return [float(v) for v in values]
     except ValueError:
         raise _UsageError(f"bad --t-grid spec {spec!r}")
+
+
+def _check_flag_ranges(args) -> None:
+    """Reject an integer flag below its documented least value."""
+    for flag, attr, least in (
+        ("--reps", "reps", 2),
+        ("--min-requests", "min_requests", 2),
+        ("--gap-ms", "gap_ms", 1),
+    ):
+        value = getattr(args, attr, None)
+        if value is not None and value < least:
+            raise _UsageError(f"{flag} must be >= {least}, got {value}")
 
 
 def _load_trace(path: str, window: Optional[int], gap_ms: Optional[int]):
@@ -160,7 +171,13 @@ def _cmd_shuffle(args, argv) -> int:
                 for c, r, h in curve.points:
                     out.writerow([kind, c, f"{r:.6g}", f"{h:.6g}"])
         for kind in RANDOMIZATION_KINDS:
-            print(f"mare {kind} {report.mare_values[kind]:.6g}", file=sys.stderr)
+            value = report.mare_values[kind]
+            if np.isnan(value):
+                zero = report.original.cache_sizes[report.original.hit_ratios == 0][0]
+                print(f"mare {kind} undefined: reference hit ratio is zero at "
+                      f"cache size {zero}", file=sys.stderr)
+            else:
+                print(f"mare {kind} {value:.6g}", file=sys.stderr)
     else:
         shuffled = randomize(trace, args.kind, args.seed)
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
@@ -333,6 +350,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_flag_ranges(args)
         return args.func(args, argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

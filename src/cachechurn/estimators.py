@@ -9,27 +9,19 @@ analytic hit-ratio prediction.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import List, Tuple
 
 import numpy as np
 
 from .trace import Trace, TraceSummary
 
 __all__ = [
-    "DocObservation",
-    "DocEstimate",
     "EmpiricalJointSample",
-    "observe_documents",
-    "estimate_lifespan",
     "solve_n_prime",
-    "estimate_rate",
-    "estimate_doc",
     "estimate_catalog_rate",
     "build_joint_sample",
     "rank_frequency",
-    "write_estimates_csv",
 ]
 
 #: Lifespan estimates are clamped below at 1 ms so that multi-request
@@ -37,36 +29,6 @@ __all__ = [
 MIN_LIFESPAN_MS = 1.0
 
 N_PRIME_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class DocObservation:
-    """Raw per-document observation: count and first/last request times."""
-
-    doc: str
-    n: int
-    theta_first: int
-    theta_last: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("request count must be >= 1")
-        if self.theta_first > self.theta_last:
-            raise ValueError("first request time after last")
-        if self.n == 1 and self.theta_first != self.theta_last:
-            raise ValueError("single request must have equal first/last times")
-
-
-@dataclass(frozen=True)
-class DocEstimate:
-    """Estimated lifespan (ms) and request rate (requests/ms) of a document."""
-
-    tau_hat: float
-    lambda_hat: float
-
-    def __post_init__(self):
-        if self.tau_hat <= 0 or self.lambda_hat <= 0:
-            raise ValueError("estimates must be positive")
 
 
 @dataclass(frozen=True)
@@ -100,48 +62,8 @@ class EmpiricalJointSample:
             raise ValueError("all pairs must be positive")
 
     @property
-    def pairs(self) -> List[Tuple[float, float]]:
-        """(lambda_hat, tau_hat) tuples, one per estimable document."""
-        return [(float(l), float(t)) for l, t in zip(self.lambdas, self.taus)]
-
-    @property
     def distinct_docs(self) -> int:
         return self.n1 + self.n2
-
-
-def observe_documents(trace: Trace) -> List[DocObservation]:
-    """Collect (count, first, last) per document, sorted by identifier."""
-    if len(trace) == 0:
-        return []
-    docs = trace.docs.astype(str)
-    uniq, inverse, counts = np.unique(docs, return_inverse=True, return_counts=True)
-    first = np.full(len(uniq), np.iinfo(np.int64).max, dtype=np.int64)
-    last = np.full(len(uniq), -1, dtype=np.int64)
-    np.minimum.at(first, inverse, trace.timestamps)
-    np.maximum.at(last, inverse, trace.timestamps)
-    return [
-        DocObservation(doc=d, n=int(n), theta_first=int(f), theta_last=int(l))
-        for d, n, f, l in zip(uniq, counts, first, last)
-    ]
-
-
-def estimate_lifespan(obs: DocObservation) -> float:
-    """Estimate a document's lifespan from its observed request span.
-
-    For n >= 2 requests spanning ``theta_last - theta_first``, the span of
-    n uniform points on an interval underestimates the interval length by
-    the factor (n-1)/(n+1); the estimator inverts that bias. The result is
-    clamped below at :data:`MIN_LIFESPAN_MS`.
-
-    Returns
-    -------
-    float
-        Estimated lifespan in milliseconds.
-    """
-    if obs.n < 2:
-        raise ValueError("lifespan estimator requires at least 2 requests")
-    span = obs.theta_last - obs.theta_first
-    return max(span * (obs.n + 1) / (obs.n - 1), MIN_LIFESPAN_MS)
 
 
 def solve_n_prime(n, tol: float = N_PRIME_TOL, max_iter: int = 200):
@@ -189,24 +111,6 @@ def solve_n_prime(n, tol: float = N_PRIME_TOL, max_iter: int = 200):
     return float(root[0]) if scalar else root
 
 
-def estimate_rate(obs: DocObservation) -> float:
-    """Estimate a document's request rate in requests per millisecond.
-
-    The observed count n overstates the underlying Poisson mean because
-    zero-request documents are never observed; :func:`solve_n_prime`
-    removes that bias before dividing by the estimated lifespan.
-    """
-    if obs.n < 2:
-        raise ValueError("rate estimator requires at least 2 requests")
-    return solve_n_prime(obs.n) / estimate_lifespan(obs)
-
-
-def estimate_doc(obs: DocObservation) -> DocEstimate:
-    """Joint (lifespan, rate) estimate for one document."""
-    tau_hat = estimate_lifespan(obs)
-    return DocEstimate(tau_hat=tau_hat, lambda_hat=solve_n_prime(obs.n) / tau_hat)
-
-
 def estimate_catalog_rate(summary: TraceSummary, window: int) -> float:
     """Estimate the catalog publication rate, in documents per millisecond.
 
@@ -226,6 +130,15 @@ def build_joint_sample(trace: Trace, min_requests: int = 2) -> EmpiricalJointSam
     default threshold of 2 keeps every document the estimators are defined
     for; a higher threshold trades sample size against the high variance
     of two-request estimates.
+
+    A document's lifespan is estimated from its n >= 2 requests spanning
+    ``theta_last - theta_first``: the span of n uniform points on an
+    interval underestimates the interval length by the factor
+    (n-1)/(n+1), and the estimator inverts that bias. The result is
+    clamped below at :data:`MIN_LIFESPAN_MS`. The observed count n
+    overstates the underlying Poisson mean because zero-request documents
+    are never observed; :func:`solve_n_prime` removes that bias before
+    dividing by the estimated lifespan to give the request rate.
 
     Returns
     -------
@@ -269,37 +182,3 @@ def rank_frequency(trace: Trace) -> List[Tuple[int, int]]:
     uniq, counts = np.unique(trace.docs.astype(str), return_counts=True)
     order = sorted(range(len(uniq)), key=lambda i: (-counts[i], uniq[i]))
     return [(rank, int(counts[i])) for rank, i in enumerate(order, start=1)]
-
-
-def write_estimates_csv(trace: Trace, writer, min_requests: int = 2) -> None:
-    """Export per-document estimates as CSV.
-
-    Columns: ``doc_id,n,theta_first_ms,theta_last_ms,tau_hat_ms,
-    lambda_hat_per_ms``; one row per document with at least `min_requests`
-    requests.
-    """
-    out = csv.writer(writer, lineterminator="\n")
-    out.writerow(
-        [
-            "doc_id",
-            "n",
-            "theta_first_ms",
-            "theta_last_ms",
-            "tau_hat_ms",
-            "lambda_hat_per_ms",
-        ]
-    )
-    for obs in observe_documents(trace):
-        if obs.n < min_requests:
-            continue
-        est = estimate_doc(obs)
-        out.writerow(
-            [
-                obs.doc,
-                obs.n,
-                obs.theta_first,
-                obs.theta_last,
-                f"{est.tau_hat:.6g}",
-                f"{est.lambda_hat:.6g}",
-            ]
-        )

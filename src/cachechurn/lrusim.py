@@ -24,6 +24,7 @@ __all__ = [
     "HitRatioCurve",
     "stack_distances",
     "hit_ratio_curve",
+    "check_cache_sizes",
     "brute_force_lru",
     "mare",
     "log_size_grid",
@@ -197,6 +198,15 @@ def log_size_grid(max_size: int, count: int = DEFAULT_GRID_POINTS) -> np.ndarray
     return sizes
 
 
+def check_cache_sizes(sizes: Sequence[int]) -> np.ndarray:
+    """Cache sizes as an int64 array, checked non-empty, positive and
+    strictly ascending."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if len(sizes) == 0 or sizes[0] < 1 or np.any(np.diff(sizes) <= 0):
+        raise ValueError("sizes must be positive and strictly ascending")
+    return sizes
+
+
 def hit_ratio_curve(trace: Trace, sizes: Sequence[int]) -> HitRatioCurve:
     """Simulate the LRU hit ratio of a trace at every requested cache size.
 
@@ -213,11 +223,7 @@ def hit_ratio_curve(trace: Trace, sizes: Sequence[int]) -> HitRatioCurve:
     """
     if len(trace) == 0:
         raise ValueError("hit ratio undefined for an empty trace")
-    sizes = np.asarray(sizes, dtype=np.int64)
-    if len(sizes) == 0:
-        raise ValueError("empty size grid")
-    if sizes[0] < 1 or np.any(np.diff(sizes) <= 0):
-        raise ValueError("sizes must be positive and strictly ascending")
+    sizes = check_cache_sizes(sizes)
     profile = stack_distances(trace)
     hits = profile.hits_at(sizes)
     total = profile.total_requests

@@ -143,8 +143,9 @@ def randomize(trace: Trace, kind: str, seed: int) -> Trace:
 @dataclass(frozen=True)
 class SemiExperimentReport:
     """Hit-ratio curves of a trace and its three randomizations, plus the
-    MARE of each randomized curve against the original. All curves share
-    one cache-size grid."""
+    MARE of each randomized curve against the original (NaN where the
+    original hit ratio is zero at some grid point, which leaves the MARE
+    undefined). All curves share one cache-size grid."""
 
     original: HitRatioCurve
     randomized: Dict[str, HitRatioCurve]
@@ -178,7 +179,10 @@ def run_semi_experiments(
         shuffled = _RANDOMIZERS[kind](trace, seed)
         curve = hit_ratio_curve(shuffled, sizes)
         randomized[kind] = curve
-        mare_values[kind] = mare(original, curve)
+        try:
+            mare_values[kind] = mare(original, curve)
+        except ValueError:  # zero reference hit ratio; the grids are shared
+            mare_values[kind] = np.nan
     return SemiExperimentReport(
         original=original, randomized=randomized, mare_values=mare_values
     )

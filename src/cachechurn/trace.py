@@ -12,14 +12,13 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "TraceParseError",
     "ObservationWindow",
-    "RequestEvent",
     "Trace",
     "TraceSummary",
     "build_trace",
@@ -58,21 +57,13 @@ class ObservationWindow:
             raise ValueError(f"window length must be positive, got {self.length}")
 
 
-class RequestEvent(NamedTuple):
-    """A single timestamped document request."""
-
-    timestamp: int
-    doc: str
-    user: Optional[str] = None
-
-
 @dataclass(frozen=True)
 class Trace:
     """A request trace: parallel event arrays plus the observation window.
 
     Events are sorted by timestamp, with ties kept in input order. Storage
     is columnar (`timestamps`, `docs`, and optionally `users`) so that
-    million-request traces stay cheap to scan; `events` offers a row view.
+    million-request traces stay cheap to scan.
 
     Parameters
     ----------
@@ -117,16 +108,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    @property
-    def events(self) -> Iterator[RequestEvent]:
-        """Iterate events as ``RequestEvent`` rows."""
-        if self.users is None:
-            for t, d in zip(self.timestamps, self.docs):
-                yield RequestEvent(int(t), d)
-        else:
-            for t, d, u in zip(self.timestamps, self.docs, self.users):
-                yield RequestEvent(int(t), d, u)
 
     @property
     def distinct_docs(self) -> int:
@@ -192,8 +173,9 @@ def parse_trace(reader, window_length: Optional[int] = None) -> Trace:
     Parameters
     ----------
     reader : text or binary file-like, or str path
-        Source of the CSV data. Bytes are decoded as UTF-8; both LF and
-        CRLF line endings are accepted.
+        Source of the CSV data. Paths and bytes are decoded as UTF-8, a
+        leading byte-order mark skipped; both LF and CRLF line endings are
+        accepted.
     window_length : int, optional
         Observation window in milliseconds. Defaults to the maximum
         timestamp in the data.
@@ -205,17 +187,17 @@ def parse_trace(reader, window_length: Optional[int] = None) -> Trace:
     Raises
     ------
     TraceParseError
-        On a malformed header or row (non-integer timestamp, missing
-        field), naming the offending line.
+        On a malformed header or row (non-integer timestamp, one beyond
+        int64, missing field), naming the offending line.
     ValueError
         When a timestamp exceeds the supplied `window_length`.
     """
     if isinstance(reader, (str, bytes)) and not hasattr(reader, "read"):
-        with open(reader, "r", encoding="utf-8", newline="") as handle:
+        with open(reader, "r", encoding="utf-8-sig", newline="") as handle:
             return parse_trace(handle, window_length)
     raw = reader.read()
     if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
+        raw = raw.decode("utf-8-sig")
     rows = csv.reader(io.StringIO(raw, newline=""))
     try:
         header = next(rows)
@@ -245,6 +227,8 @@ def parse_trace(reader, window_length: Optional[int] = None) -> Trace:
             raise TraceParseError(f"non-integer timestamp {row[0]!r}", line=lineno)
         if ts < 0:
             raise TraceParseError(f"negative timestamp {ts}", line=lineno)
+        if ts >= 1 << 63:
+            raise TraceParseError(f"timestamp {ts} beyond int64", line=lineno)
         if not row[1]:
             raise TraceParseError("empty doc_id", line=lineno)
         if window_length is not None and ts > window_length:

@@ -201,7 +201,7 @@ def test_criterion_6_estimator_correctness(rng):
         lam = 10 ** rng.uniform(-4, -1, k)
         tau = 10 ** rng.uniform(1, 4, k)
         c = float(10 ** rng.uniform(-1, 3))
-        tc = characteristic_time(c, lambda t: box_working_set(t, gamma, lam, tau))
+        [tc] = characteristic_time(c, lambda t: box_working_set(t, gamma, lam, tau))
         if abs(box_working_set(tc.t_c, gamma, lam, tau) - c) > 1e-6 * c:
             rt_ok = False
             break
@@ -255,7 +255,7 @@ def test_criterion_8_branch_continuity(rng):
     for active, expired in (
         (_ws_pair_active, _ws_pair_expired),
         (_repeat_pair_active, _repeat_pair_expired),
-        (lambda l, t, b: _hits_short_doc(l, t), _hits_long_doc),
+        (_hits_short_doc, _hits_long_doc),
     ):
         left = active(lam, tau, tau)
         right = expired(lam, tau, tau)

@@ -11,7 +11,6 @@ from cachechurn.boxmodel import (
     _repeat_pair_expired,
     _ws_pair_active,
     _ws_pair_expired,
-    box_hit_ratio,
     box_hit_ratio_curve,
     box_working_set,
     characteristic_time,
@@ -98,7 +97,7 @@ def test_branch_continuity_everywhere(rng):
         right = b(lam, tau, tau)
         scale = np.maximum(np.abs(left), np.abs(right)) + 1e-300
         assert np.max(np.abs(left - right) / scale) <= 1e-12
-    short = _hits_short_doc(lam, tau)
+    short = _hits_short_doc(lam, tau, tau)
     long = _hits_long_doc(lam, tau, tau)  # t_c = tau
     scale = np.maximum(np.abs(short), np.abs(long)) + 1e-300
     assert np.max(np.abs(short - long) / scale) <= 1e-12
@@ -153,7 +152,7 @@ def test_predicted_total_hits_match_simulation():
     gamma_hat = estimate_catalog_rate(trace_stats(trace), trace.window.length)
     model = WorkingSetModel(gamma_hat=gamma_hat, sample=sample)
     cache_size = round(0.05 * sample.distinct_docs)
-    tc = characteristic_time(cache_size, model, initial_upper=trace.window.length)
+    [tc] = characteristic_time(cache_size, model, initial_upper=trace.window.length)
     predicted = sample.n2 * mean_expected_hits(sample.lambdas, sample.taus, tc.t_c)
     from cachechurn.lrusim import brute_force_lru
 
@@ -173,14 +172,14 @@ def test_model_stays_below_observed_catalog():
 
 
 def test_characteristic_time_linear():
-    tc = characteristic_time(50.0, lambda t: 2.0 * t)
+    [tc] = characteristic_time(50.0, lambda t: 2.0 * t)
     assert tc.t_c == pytest.approx(25.0, rel=1e-9)
     assert tc.residual <= 1e-6 * 50
 
 
 def test_characteristic_time_round_trip_reference():
     ws = lambda t: box_working_set(t, 1.0, [1.0], [2.0])
-    tc = characteristic_time(WS_AT_2, ws)
+    [tc] = characteristic_time(WS_AT_2, ws)
     assert tc.t_c == pytest.approx(2.0, rel=1e-7)
 
 
@@ -192,14 +191,14 @@ def test_characteristic_time_random_instances(rng):
         tau = 10 ** rng.uniform(1, 4, k)
         ws = lambda t: box_working_set(t, gamma, lam, tau)
         c = float(10 ** rng.uniform(-1, 3))
-        tc = characteristic_time(c, ws, initial_upper=float(rng.uniform(1, 1e4)))
+        [tc] = characteristic_time(c, ws, initial_upper=float(rng.uniform(1, 1e4)))
         assert tc.residual <= 1e-6 * c
         assert abs(ws(tc.t_c) - c) <= 1e-6 * c
 
 
 def test_characteristic_time_plateau_error():
     with pytest.raises(ValueError, match="reachable catalog"):
-        characteristic_time(20.0, lambda t: min(t, 10.0))
+        characteristic_time(20.0, lambda t: np.minimum(t, 10.0))
 
 
 def test_expected_hits_short_lifespan():
@@ -243,10 +242,11 @@ def test_mean_expected_hits_vanishing_popularity():
 
 def test_box_hit_ratio_single_pair_reduction():
     sample = sample_of([0.01], [500.0], n1=0, mean_n_multi=4.2, window=10**6)
-    hr = box_hit_ratio(sample, gamma_hat=0.001, cache_size=1.0)
+    curve, [tc] = box_hit_ratio_curve(sample, gamma_hat=0.001, sizes=[1])
     model = WorkingSetModel(gamma_hat=0.001, sample=sample)
-    tc = characteristic_time(1.0, model, initial_upper=10**6)
-    assert hr == pytest.approx(expected_hits_per_doc(0.01, 500.0, tc.t_c) / 4.2)
+    assert [tc] == characteristic_time(1.0, model, initial_upper=10**6)
+    expected = expected_hits_per_doc(0.01, 500.0, tc.t_c) / 4.2
+    assert curve.hit_ratios[0] == pytest.approx(expected)
 
 
 def test_box_hit_ratio_saturation():
@@ -254,16 +254,16 @@ def test_box_hit_ratio_saturation():
     lam = np.array([0.02, 0.004])
     tau = np.array([300.0, 900.0])
     sample = sample_of(lam, tau, n1=400, mean_n_multi=5.0, window=10**6)
-    hr = box_hit_ratio(sample, gamma_hat=0.01, cache_size=390.0)
+    curve, _ = box_hit_ratio_curve(sample, gamma_hat=0.01, sizes=[390])
     ceiling = float(np.mean(lam * tau - 1 + np.exp(-lam * tau)))
     denominator = 5.0 + 400 / 2
-    assert hr == pytest.approx(ceiling / denominator, rel=1e-6)
+    assert curve.hit_ratios[0] == pytest.approx(ceiling / denominator, rel=1e-6)
 
 
 def test_box_hit_ratio_requires_estimable_docs():
     sample = sample_of([], [], n1=10, window=1000)
     with pytest.raises(ValueError, match="no estimable documents"):
-        box_hit_ratio(sample, gamma_hat=0.01, cache_size=5.0)
+        box_hit_ratio_curve(sample, gamma_hat=0.01, sizes=[5])
 
 
 def test_box_hit_ratio_monotone_in_cache_size():

@@ -108,6 +108,41 @@ def test_shuffle_all_emits_curves_and_mare(trace_file, tmp_path, capsys):
     assert len(mare_lines) == 3
 
 
+def test_shuffle_all_zero_reference_hit_ratio(tmp_path, capsys):
+    # at C = 1 the original trace never hits, so every MARE is undefined
+    path = tmp_path / "in.csv"
+    path.write_text("timestamp_ms,doc_id\n0,a\n1,b\n2,a\n3,b\n4,c\n5,a\n")
+    out = tmp_path / "curves.csv"
+    assert main(["shuffle", str(path), "--kind", "all", "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert rows[1] == ["original", "1", "0.333333", "0"]
+    assert {row[0] for row in rows[1:]} == {"original", "global", "positional", "local"}
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"mare {kind} undefined: reference hit ratio is zero at cache size 1"
+        for kind in ("global", "positional", "local")
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["validate", "--gamma", "0.01", "--window-ms", "100", "--lambda", "0.1",
+          "--tau", "10", "--t-grid", "10,20", "--reps", "1"], "--reps"),
+        (["predict", "TRACE", "--method", "classic", "--min-requests", "1"],
+         "--min-requests"),
+        (["simulate", "TRACE", "--gap-ms", "0"], "--gap-ms"),
+        (["shuffle", "TRACE", "--kind", "local", "--gap-ms", "-5"], "--gap-ms"),
+    ],
+)
+def test_flag_out_of_range_usage_error(trace_file, tmp_path, capsys, argv, flag):
+    argv = [str(trace_file) if a == "TRACE" else a for a in argv]
+    out = tmp_path / "o.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_predict_classic_symmetric(tmp_path):
     # 60 identical documents: HR(C) = C / 60 at every grid point
     rows = ["timestamp_ms,doc_id"]

@@ -1,19 +1,11 @@
-import io
-
 import numpy as np
 import pytest
 
 from cachechurn.estimators import (
-    DocObservation,
     build_joint_sample,
     estimate_catalog_rate,
-    estimate_doc,
-    estimate_lifespan,
-    estimate_rate,
-    observe_documents,
     rank_frequency,
     solve_n_prime,
-    write_estimates_csv,
 )
 from cachechurn.synth import GeneratorConfig, generate_box_trace
 from cachechurn.trace import build_trace, trace_stats
@@ -23,25 +15,31 @@ N_PRIME_2 = 1.5936242600400401
 N_PRIME_3 = 2.8214393721220789
 
 
-def obs(n, first, last):
-    return DocObservation(doc="x", n=n, theta_first=first, theta_last=last)
+def one_doc(n, first, last):
+    """Joint sample of a single document with n requests from first to last."""
+    times = np.linspace(first, last, n).round().astype(np.int64)
+    sample = build_joint_sample(build_trace(times, ["x"] * n))
+    assert sample.n2 == 1
+    return float(sample.lambdas[0]), float(sample.taus[0])
 
 
 def test_lifespan_n3():
-    assert estimate_lifespan(obs(3, 0, 10)) == pytest.approx(20.0)
+    assert one_doc(3, 0, 10)[1] == pytest.approx(20.0)
 
 
 def test_lifespan_n2():
-    assert estimate_lifespan(obs(2, 0, 10)) == pytest.approx(30.0)
+    assert one_doc(2, 0, 10)[1] == pytest.approx(30.0)
 
 
 def test_lifespan_requires_two_requests():
+    sample = build_joint_sample(build_trace([5], ["x"]))
+    assert (sample.n1, sample.n2) == (1, 0)
     with pytest.raises(ValueError):
-        estimate_lifespan(obs(1, 5, 5))
+        build_joint_sample(build_trace([5], ["x"]), min_requests=1)
 
 
 def test_lifespan_degenerate_span_clamped():
-    assert estimate_lifespan(obs(4, 9, 9)) == 1.0
+    assert one_doc(4, 9, 9)[1] == 1.0
 
 
 def test_n_prime_limit_at_one():
@@ -75,24 +73,23 @@ def test_n_prime_rejects_below_one():
 
 
 def test_rate_composition():
-    assert estimate_rate(obs(3, 0, 10)) == pytest.approx(N_PRIME_3 / 20, rel=1e-9)
-    assert estimate_rate(obs(2, 0, 10)) == pytest.approx(N_PRIME_2 / 30, rel=1e-9)
+    assert one_doc(3, 0, 10)[0] == pytest.approx(N_PRIME_3 / 20, rel=1e-9)
+    assert one_doc(2, 0, 10)[0] == pytest.approx(N_PRIME_2 / 30, rel=1e-9)
 
 
 def test_rate_near_identity_for_large_n():
     # n' ~ n once n exceeds 10, so lambda ~ n / tau
-    est = estimate_doc(obs(100, 0, 980 * 1000))
-    tau = estimate_lifespan(obs(100, 0, 980 * 1000))
+    lam, tau = one_doc(100, 0, 980 * 1000)
     assert tau == pytest.approx(1000 * 1000, rel=0.02)
-    assert est.lambda_hat == pytest.approx(100 / tau, rel=1e-10)
+    assert lam == pytest.approx(100 / tau, rel=1e-10)
 
 
 def test_rate_lifespan_identity(rng):
     # lambda_hat * tau_hat = n' exactly
     for n in (2, 5, 17):
         first, last = 0, int(rng.integers(1, 10**6))
-        d = estimate_doc(obs(n, first, last))
-        assert d.lambda_hat * d.tau_hat == pytest.approx(solve_n_prime(n), rel=1e-12)
+        lam, tau = one_doc(n, first, last)
+        assert lam * tau == pytest.approx(solve_n_prime(n), rel=1e-12)
 
 
 def test_catalog_rate():
@@ -109,20 +106,21 @@ def test_catalog_rate_zero_window():
         estimate_catalog_rate(trace_stats(build_trace([], [])), 0)
 
 
-def test_observe_documents():
+def test_joint_sample_per_document_count_and_span():
+    # "b": 3 requests spanning 0..5, so tau = 5 * 4 / 2; "a" is noise
     tr = build_trace([0, 1, 2, 5], ["b", "a", "b", "b"])
-    by_doc = {o.doc: o for o in observe_documents(tr)}
-    assert by_doc["a"].n == 1 and by_doc["a"].theta_first == 1
-    assert by_doc["b"].n == 3
-    assert (by_doc["b"].theta_first, by_doc["b"].theta_last) == (0, 5)
+    sample = build_joint_sample(tr)
+    assert (sample.n1, sample.n2) == (1, 1)
+    assert sample.mean_n_multi == 3.0
+    assert sample.taus[0] == pytest.approx(10.0)
 
 
 def test_joint_sample_small_trace():
     tr = build_trace([0, 1, 2], ["a", "b", "a"])
     sample = build_joint_sample(tr)
     assert (sample.n1, sample.n2) == (1, 1)
-    assert len(sample.pairs) == 1
-    lam, tau = sample.pairs[0]
+    assert len(sample.lambdas) == len(sample.taus) == 1
+    lam, tau = sample.lambdas[0], sample.taus[0]
     assert tau == pytest.approx(2 * 3)  # span 2, n=2
     assert lam == pytest.approx(N_PRIME_2 / 6, rel=1e-9)
     assert sample.mean_n_multi == 2.0
@@ -132,7 +130,7 @@ def test_joint_sample_all_singles():
     tr = build_trace([0, 1], ["a", "b"])
     sample = build_joint_sample(tr)
     assert (sample.n1, sample.n2) == (2, 0)
-    assert len(sample.pairs) == 0
+    assert len(sample.lambdas) == len(sample.taus) == 0
 
 
 def test_joint_sample_min_requests_filter():
@@ -166,14 +164,3 @@ def test_rank_frequency_tie_order_deterministic():
     tr = build_trace([0, 1, 2, 3], ["d", "c", "a", "b"])
     assert rank_frequency(tr) == [(1, 1), (2, 1), (3, 1), (4, 1)]
 
-
-def test_estimates_csv_format():
-    tr = build_trace([0, 1, 2], ["a", "b", "a"])
-    buf = io.StringIO()
-    write_estimates_csv(tr, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == (
-        "doc_id,n,theta_first_ms,theta_last_ms,tau_hat_ms,lambda_hat_per_ms"
-    )
-    assert len(lines) == 2  # only doc "a" is estimable
-    assert lines[1].startswith("a,2,0,2,")

@@ -37,6 +37,10 @@ def test_parse_reorders_by_timestamp():
 def test_parse_error_names_line():
     with pytest.raises(TraceParseError, match="line 2"):
         trace_from("timestamp_ms,doc_id\nxx,a\n")
+    # an integer that int64 cannot hold is malformed too, not an overflow
+    with pytest.raises(TraceParseError, match="line 3: timestamp .* beyond int64"):
+        trace_from("timestamp_ms,doc_id\n0,a\n123456789012345678901,b\n")
+    parse_trace(io.StringIO(f"timestamp_ms,doc_id\n{2**63 - 1},a\n"))
 
 
 def test_parse_error_missing_field():
@@ -52,6 +56,16 @@ def test_parse_error_negative_timestamp():
 def test_parse_error_bad_header():
     with pytest.raises(TraceParseError, match="header"):
         trace_from("time,doc\n0,a\n")
+
+
+def test_parse_bom_header_from_path_and_bytes(tmp_path):
+    data = "\ufefftimestamp_ms,doc_id\n0,a\n5,b\n".encode("utf-8")
+    path = tmp_path / "bom.csv"
+    path.write_bytes(data)
+    for source in (str(path), io.BytesIO(data)):
+        tr = parse_trace(source)
+        assert list(tr.docs) == ["a", "b"]
+        assert tr.window.length == 5
 
 
 def test_parse_timestamp_beyond_window():
