@@ -3,12 +3,16 @@
 A refactor that keeps these hashes keeps every output byte. The digests
 were recorded from the tree before the batched characteristic-time
 inverter; a change that alters an output on purpose re-records the
-digest and says why in CHANGES.md.
+digest and says why in CHANGES.md. The user-column digests lock session
+consolidation, user ids and CSV quoting; they were recorded from the tree
+before document and user ids were interned.
 """
 
+import csv
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from cachechurn.cli import main
@@ -90,3 +94,61 @@ def digests(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_bytes_unchanged(digests, name):
     assert digests[name] == GOLDEN[name]
+
+
+#: Ids that need CSV quoting (comma, double quote), non-ASCII ids and
+#: plain ones, for the user-column input.
+USER_DOCS = ["a,b", 'say "hi"', "café", "文档", "d1", "d2", "d3", "zz"]
+USER_IDS = ["u1", "u2", "ü3", "u,4"]
+
+GOLDEN_USERS = {
+    "simulate_gap": (
+        "671223a684389c13788ce53cfbdeeed7"
+        "21c295081395f481b8bc49aaf53e5c69"
+    ),
+    "shuffle_local_gap": (
+        "8e6766ba5a47c9f2668ee537caa781d0"
+        "bda5d60ba463715079416b3183efe0ce"
+    ),
+    "predict_box_gap": (
+        "b5df83e9803140a3bbdc3e5c0ea0d507"
+        "d6c09233efdced3da12a80f03cfae2b1"
+    ),
+    "predict_box_gap_meta": (
+        "6bc4c50d097401c11d64e7654b0e293a"
+        "d3f8f1d79aa1c2e266d80b5b879bf4fc"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def user_digests(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("golden_users")
+    rng = np.random.default_rng(5)
+    n = 400
+    trace = tmp / "users.csv"
+    with open(trace, "w", encoding="utf-8", newline="") as handle:
+        out = csv.writer(handle, lineterminator="\n")
+        out.writerow(["timestamp_ms", "doc_id", "user_id"])
+        for t, d, u in zip(rng.integers(0, 50_000, n), rng.integers(0, len(USER_DOCS), n),
+                           rng.integers(0, len(USER_IDS), n)):
+            out.writerow([int(t), USER_DOCS[d], USER_IDS[u]])
+    runs = {
+        "simulate_gap": (["simulate", trace, "--gap-ms", 2000,
+                          "--sizes", "log:1:max:8"], tmp / "sim.csv"),
+        "shuffle_local_gap": (["shuffle", trace, "--kind", "local", "--seed", 3,
+                               "--gap-ms", 2000], tmp / "local.csv"),
+        "predict_box_gap": (["predict", trace, "--method", "box", "--gap-ms", 2000,
+                             "--sizes", "log:1:max:8"], tmp / "box.csv"),
+    }
+    out = {}
+    for name, (argv, path) in runs.items():
+        assert main([str(a) for a in argv] + ["--out", str(path)]) == 0, name
+        out[name] = sha256(path)
+    out["predict_box_gap_meta"] = sha256(tmp / "box.csv.meta.json")
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_USERS))
+def test_user_column_output_bytes_unchanged(user_digests, name):
+    assert user_digests[name] == GOLDEN_USERS[name]
