@@ -48,14 +48,15 @@ class _UsageError(Exception):
 def _range_spec(spec: str, number, least, top=None):
     """Values of a ``log:LO:HI:N`` or ``lin:LO:HI:N`` spec, or None when
     `spec` is not one. LO and HI are read with `number`, HI may be the
-    word `max` when `top` is given, and LO must be at least `least`."""
+    word `max` when `top` is given, LO must be at least `least`, and HI
+    and N must be finite and fit in int64."""
     if not spec.startswith(("log:", "lin:")):
         return None
     kind, lo_s, hi_s, n_s = spec.split(":")
     lo = number(lo_s)
     hi = top if top is not None and hi_s == "max" else number(hi_s)
     n = int(n_s)
-    if lo < least or hi < lo or n < 1:
+    if not least <= lo <= hi or float(hi) >= 2**63 or not 1 <= n < 2**63:
         raise ValueError
     return (np.geomspace if kind == "log" else np.linspace)(lo, hi, n)
 
@@ -72,19 +73,21 @@ def _parse_grid_spec(spec: str, max_size: int) -> np.ndarray:
         if sizes is not None:
             return np.unique(np.rint(sizes).astype(np.int64))
         return check_cache_sizes([int(tok) for tok in spec.split(",")])
-    except ValueError:
+    except (ValueError, OverflowError):  # overflow: an integer beyond int64
         raise _UsageError(f"bad --sizes spec {spec!r}")
 
 
-def _parse_t_grid(spec: str) -> list:
-    """Resolve a time grid: comma list of ms values, or lin/log:LO:HI:N."""
+def _parse_t_grid(spec: str, window: int) -> list:
+    """Resolve a time grid: comma list of ms values, or lin/log:LO:HI:N,
+    each value within [0, window]."""
     try:
         values = _range_spec(spec, float, 0)
-        if values is None:
-            values = spec.split(",")
-        return [float(v) for v in values]
-    except ValueError:
-        raise _UsageError(f"bad --t-grid spec {spec!r}")
+        values = [float(v) for v in (spec.split(",") if values is None else values)]
+        if all(0 <= v <= window for v in values):  # NaN fails too
+            return values
+    except (ValueError, OverflowError):
+        pass
+    raise _UsageError(f"bad --t-grid spec {spec!r}: values must lie within [0, {window}]")
 
 
 def _check_flag_ranges(args) -> None:
@@ -237,7 +240,7 @@ def _cmd_generate(args, argv) -> int:
 
 def _cmd_validate(args, argv) -> int:
     config = _generator_config(args)
-    t_grid = _parse_t_grid(args.t_grid)
+    t_grid = _parse_t_grid(args.t_grid, config.window)
     mc = monte_carlo_distinct_docs(config, t_grid, args.reps, args.seed)
     analytic = box_working_set(mc.t, config.gamma, config.lambdas, config.taus)
     rows = []

@@ -146,16 +146,11 @@ def build_joint_sample(trace: Trace, min_requests: int = 2) -> EmpiricalJointSam
     """
     if min_requests < 2:
         raise ValueError("min_requests must be >= 2")
-    if len(trace) == 0:
-        return EmpiricalJointSample(
-            np.empty(0), np.empty(0), 0, 0, 0.0, trace.window.length
-        )
-    docs = trace.docs.astype(str)
-    _, inverse, counts = np.unique(docs, return_inverse=True, return_counts=True)
+    counts = np.bincount(trace.docs, minlength=len(trace.doc_names))
     first = np.full(len(counts), np.iinfo(np.int64).max, dtype=np.int64)
     last = np.full(len(counts), -1, dtype=np.int64)
-    np.minimum.at(first, inverse, trace.timestamps)
-    np.maximum.at(last, inverse, trace.timestamps)
+    np.minimum.at(first, trace.docs, trace.timestamps)
+    np.maximum.at(last, trace.docs, trace.timestamps)
     multi = counts >= min_requests
     n = counts[multi].astype(float)
     span = (last[multi] - first[multi]).astype(float)
@@ -172,13 +167,6 @@ def build_joint_sample(trace: Trace, min_requests: int = 2) -> EmpiricalJointSam
 
 
 def rank_frequency(trace: Trace) -> List[Tuple[int, int]]:
-    """Request count per popularity rank, most requested first.
-
-    Ties in count are ordered by document identifier, making the ranking
-    deterministic.
-    """
-    if len(trace) == 0:
-        return []
-    uniq, counts = np.unique(trace.docs.astype(str), return_counts=True)
-    order = sorted(range(len(uniq)), key=lambda i: (-counts[i], uniq[i]))
-    return [(rank, int(counts[i])) for rank, i in enumerate(order, start=1)]
+    """Request count per popularity rank, most requested first."""
+    counts = np.sort(np.bincount(trace.docs, minlength=len(trace.doc_names)))
+    return list(enumerate(counts[::-1].tolist(), start=1))

@@ -134,13 +134,12 @@ def stack_distances(trace: Trace) -> StackDistanceProfile:
     -------
     StackDistanceProfile
     """
-    docs = trace.docs
-    m = len(docs)
+    m = len(trace)
     dist = np.full(m, -1, dtype=np.int64)
     tree = [0] * (m + 1)  # 1-based Fenwick over request positions
-    last: dict = {}
-    for i, doc in enumerate(docs):
-        p = last.get(doc, -1)
+    last = [-1] * trace.distinct_docs  # last request position per doc code
+    for i, doc in enumerate(trace.docs.tolist()):
+        p = last[doc]
         if p >= 0:
             # markers strictly between positions p and i, plus the doc itself
             s = 0
@@ -175,7 +174,7 @@ def brute_force_lru(trace: Trace, size: int) -> int:
         raise ValueError("cache size must be >= 1")
     cache: OrderedDict = OrderedDict()
     hits = 0
-    for doc in trace.docs:
+    for doc in trace.docs.tolist():
         if doc in cache:
             hits += 1
             cache.move_to_end(doc)

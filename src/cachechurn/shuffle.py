@@ -24,7 +24,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from .lrusim import HitRatioCurve, hit_ratio_curve, mare
-from .trace import Trace, build_trace
+from .trace import Trace, _make_trace
 
 __all__ = [
     "RANDOMIZATION_KINDS",
@@ -54,18 +54,16 @@ def _doc_rng(seed: int, kind: str, doc: str) -> np.random.Generator:
 
 
 def _doc_groups(trace: Trace):
-    """Indices of each document's requests, in time order."""
-    docs = trace.docs.astype(str)
-    uniq, inverse = np.unique(docs, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")  # groups, time order within
-    boundaries = np.searchsorted(inverse[order], np.arange(len(uniq)))
-    for k, doc in enumerate(uniq):
-        hi = boundaries[k + 1] if k + 1 < len(uniq) else len(order)
-        yield str(doc), order[boundaries[k] : hi]
+    """Each document's name and the indices of its requests, in time
+    order, documents in name order."""
+    order = np.argsort(trace.docs, kind="stable")  # groups, time order within
+    ends = np.cumsum(np.bincount(trace.docs, minlength=len(trace.doc_names)))
+    return zip(trace.doc_names, np.split(order, ends[:-1]))
 
 
 def _rebuild(trace: Trace, new_ts: np.ndarray) -> Trace:
-    return build_trace(new_ts, trace.docs, trace.users, trace.window.length)
+    return _make_trace(new_ts, trace.docs, trace.doc_names, trace.users,
+                       trace.user_names, trace.window.length)
 
 
 def randomize_global(trace: Trace, seed: int) -> Trace:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .trace import Trace, build_trace
+from .trace import Trace, _make_trace
 
 __all__ = [
     "DocumentProfile",
@@ -175,6 +175,16 @@ def _round_half_up(x: np.ndarray) -> np.ndarray:
     return np.floor(x + 0.5).astype(np.int64)
 
 
+def _indexed_trace(times, doc_idx, n_docs: int, window: int) -> Trace:
+    """The trace of requests to documents `doc_idx` of a catalog of
+    `n_docs`, each named ``d%08d`` after its index; only the names of
+    requested documents are formatted."""
+    names = np.empty(n_docs, dtype=object)
+    used = np.flatnonzero(np.bincount(doc_idx, minlength=n_docs))
+    names[used] = [f"d{i:08d}" for i in used.tolist()]
+    return _make_trace(times, doc_idx, names, window_length=window)
+
+
 def generate_box_trace(config: GeneratorConfig, seed) -> Trace:
     """Generate a dynamic-catalog trace.
 
@@ -186,9 +196,7 @@ def generate_box_trace(config: GeneratorConfig, seed) -> Trace:
     pop = sample_population(config, rng)
     inside = (pop.req_times >= 0) & (pop.req_times <= config.window)
     times = _round_half_up(pop.req_times[inside])
-    doc_idx = pop.req_doc[inside]
-    docs = np.array([f"d{int(i):08d}" for i in doc_idx], dtype=object)
-    return build_trace(times, docs, None, config.window)
+    return _indexed_trace(times, pop.req_doc[inside], len(pop.arrivals), config.window)
 
 
 def generate_irm_trace(
@@ -209,8 +217,7 @@ def generate_irm_trace(
     rng = np.random.default_rng(seed)
     draws = rng.choice(len(weights), size=total_requests, p=weights / weights.sum())
     times = rng.integers(0, window + 1, size=total_requests)
-    docs = np.array([f"d{int(i):08d}" for i in draws], dtype=object)
-    return build_trace(times, docs, None, window)
+    return _indexed_trace(times, draws, len(weights), window)
 
 
 @dataclass(frozen=True)
@@ -259,14 +266,9 @@ def monte_carlo_distinct_docs(
     counts = np.empty((reps, len(t_grid)), dtype=np.int64)
     for rep in range(reps):
         trace = generate_box_trace(config, np.random.SeedSequence([seed, rep]))
-        ts = trace.timestamps
-        doc_idx = trace.docs
         for k, t in enumerate(t_grid):
-            upto = np.searchsorted(ts, t, side="right")
-            if upto == 0:
-                counts[rep, k] = 0
-                continue
-            _, per_doc = np.unique(doc_idx[:upto].astype(str), return_counts=True)
+            upto = np.searchsorted(trace.timestamps, t, side="right")
+            per_doc = np.bincount(trace.docs[:upto])
             counts[rep, k] = np.count_nonzero(per_doc >= min_requests)
     mean = counts.mean(axis=0)
     stderr = counts.std(axis=0, ddof=1) / math.sqrt(reps)

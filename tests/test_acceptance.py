@@ -220,7 +220,7 @@ def test_criterion_7_randomization_preservation(rng):
 
         def times_by_doc(t):
             grouped = {}
-            for ts, doc in zip(t.timestamps, t.docs):
+            for ts, doc in zip(t.timestamps, t.doc_names[t.docs]):
                 grouped.setdefault(doc, []).append(int(ts))
             return grouped
 

@@ -133,6 +133,14 @@ def test_shuffle_all_zero_reference_hit_ratio(tmp_path, capsys):
          "--min-requests"),
         (["simulate", "TRACE", "--gap-ms", "0"], "--gap-ms"),
         (["shuffle", "TRACE", "--kind", "local", "--gap-ms", "-5"], "--gap-ms"),
+        # grid values must fit in int64, be finite and (t) lie in the window
+        (["simulate", "TRACE", "--sizes", "1,99999999999999999999"], "--sizes"),
+        (["simulate", "TRACE", "--sizes", "log:1:99999999999999999999:3"], "--sizes"),
+        (["simulate", "TRACE", "--sizes", "lin:1:99999999999999999999:3"], "--sizes"),
+        (["validate", "--gamma", "0.01", "--window-ms", "100", "--lambda", "0.1",
+          "--tau", "10", "--t-grid", "50,500", "--reps", "3"], "--t-grid"),
+        (["validate", "--gamma", "0.01", "--window-ms", "100", "--lambda", "0.1",
+          "--tau", "10", "--t-grid", "50,nan", "--reps", "3"], "--t-grid"),
     ],
 )
 def test_flag_out_of_range_usage_error(trace_file, tmp_path, capsys, argv, flag):

@@ -45,7 +45,7 @@ def test_stack_distances_immediate_repeat():
 def test_stack_distances_against_naive_scan(rng):
     tr = random_trace(rng, 1000, 40)
     prof = stack_distances(tr)
-    assert list(prof.distances) == naive_stack_distances(tr.docs)
+    assert list(prof.distances) == naive_stack_distances(tr.doc_names[tr.docs])
     assert sum(prof.histogram.values()) == prof.total_requests
 
 
@@ -84,7 +84,7 @@ def test_hit_ratio_depends_on_order_only(rng):
     sizes = [1, 2, 5, 10, 40]
     # re-space timestamps, preserving order
     respaced = build_trace(
-        np.arange(len(tr)) * 7, tr.docs, None, window_length=len(tr) * 7
+        np.arange(len(tr)) * 7, tr.doc_names[tr.docs], None, window_length=len(tr) * 7
     )
     a = hit_ratio_curve(tr, sizes)
     b = hit_ratio_curve(respaced, sizes)

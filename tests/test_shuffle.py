@@ -18,12 +18,12 @@ from conftest import random_trace
 
 
 def doc_counts(trace):
-    return Counter(trace.docs)
+    return Counter(trace.doc_names[trace.docs])
 
 
 def doc_times(trace):
     times = {}
-    for t, d in zip(trace.timestamps, trace.docs):
+    for t, d in zip(trace.timestamps, trace.doc_names[trace.docs]):
         times.setdefault(d, []).append(int(t))
     return times
 
@@ -49,7 +49,7 @@ def test_deterministic_under_seed(rng, randomize):
     a = randomize(tr, seed=42)
     b = randomize(tr, seed=42)
     assert np.array_equal(a.timestamps, b.timestamps)
-    assert np.array_equal(a.docs, b.docs)
+    assert np.array_equal(a.doc_names[a.docs], b.doc_names[b.docs])
     c = randomize(tr, seed=43)
     assert not np.array_equal(c.timestamps, a.timestamps)
 
@@ -78,7 +78,7 @@ def test_local_identity_below_three_requests():
     tr = build_trace([3, 100, 200], ["a", "b", "b"], window_length=500)
     out = randomize_local(tr, seed=5)
     assert np.array_equal(out.timestamps, tr.timestamps)
-    assert np.array_equal(out.docs, tr.docs)
+    assert np.array_equal(out.doc_names[out.docs], tr.doc_names[tr.docs])
 
 
 def test_local_preserves_count_first_last(rng):

@@ -36,7 +36,7 @@ def test_box_trace_deterministic():
     a = generate_box_trace(config, seed=42)
     b = generate_box_trace(config, seed=42)
     assert np.array_equal(a.timestamps, b.timestamps)
-    assert np.array_equal(a.docs, b.docs)
+    assert np.array_equal(a.doc_names[a.docs], b.doc_names[b.docs])
     c = generate_box_trace(config, seed=43)
     assert len(c) != len(a) or not np.array_equal(c.timestamps, a.timestamps)
 
@@ -122,7 +122,8 @@ def test_config_json_roundtrip():
 def test_irm_single_doc():
     tr = generate_irm_trace([1.0], 50, window=1000, seed=3)
     assert len(tr) == 50
-    assert set(tr.docs) == {"d00000000"}
+    assert list(tr.doc_names) == ["d00000000"]
+    assert set(tr.docs.tolist()) == {0}
 
 
 def test_irm_empty():
@@ -136,7 +137,7 @@ def test_irm_top_rank_share():
     share = weights[0] / weights.sum()
     total = 10**5
     tr = generate_irm_trace(weights, total, window=10**6, seed=17)
-    top = np.count_nonzero(tr.docs == "d00000000")
+    top = np.count_nonzero(tr.doc_names[tr.docs] == "d00000000")
     sigma = np.sqrt(total * share * (1 - share))
     assert abs(top - total * share) <= 3 * sigma
 

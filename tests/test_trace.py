@@ -3,7 +3,10 @@ import io
 import numpy as np
 import pytest
 
+from cachechurn.estimators import build_joint_sample, rank_frequency
 from cachechurn.trace import (
+    ObservationWindow,
+    Trace,
     TraceParseError,
     build_trace,
     consolidate_sessions,
@@ -20,18 +23,23 @@ def trace_from(text, window=None):
     return parse_trace(io.StringIO(text), window)
 
 
+def doc_ids(trace):
+    """The document id of each request."""
+    return trace.doc_names[trace.docs]
+
+
 def test_parse_basic():
     tr = trace_from("timestamp_ms,doc_id\n0,a\n5,b\n")
     assert len(tr) == 2
     assert tr.window.length == 5
     assert list(tr.timestamps) == [0, 5]
-    assert list(tr.docs) == ["a", "b"]
-    assert tr.users is None
+    assert list(doc_ids(tr)) == ["a", "b"]
+    assert tr.users is None and tr.user_names is None
 
 
 def test_parse_reorders_by_timestamp():
     tr = trace_from("timestamp_ms,doc_id\n5,b\n0,a\n")
-    assert list(zip(tr.timestamps, tr.docs)) == [(0, "a"), (5, "b")]
+    assert list(zip(tr.timestamps, doc_ids(tr))) == [(0, "a"), (5, "b")]
 
 
 def test_parse_error_names_line():
@@ -64,7 +72,7 @@ def test_parse_bom_header_from_path_and_bytes(tmp_path):
     path.write_bytes(data)
     for source in (str(path), io.BytesIO(data)):
         tr = parse_trace(source)
-        assert list(tr.docs) == ["a", "b"]
+        assert list(doc_ids(tr)) == ["a", "b"]
         assert tr.window.length == 5
 
 
@@ -75,7 +83,7 @@ def test_parse_timestamp_beyond_window():
 
 def test_parse_user_column_and_crlf():
     tr = trace_from("timestamp_ms,doc_id,user_id\r\n0,a,u1\r\n5,b,u2\r\n")
-    assert list(tr.users) == ["u1", "u2"]
+    assert list(tr.user_names[tr.users]) == ["u1", "u2"]
 
 
 def test_parse_empty_trace():
@@ -86,7 +94,7 @@ def test_parse_empty_trace():
 
 def test_tie_breaking_is_stable():
     tr = build_trace([5, 5, 5], ["c", "a", "b"])
-    assert list(tr.docs) == ["c", "a", "b"]
+    assert list(doc_ids(tr)) == ["c", "a", "b"]
 
 
 @pytest.mark.parametrize("with_users", [False, True])
@@ -96,9 +104,9 @@ def test_serialize_parse_roundtrip(rng, with_users):
     serialize_trace(tr, buf)
     back = parse_trace(io.StringIO(buf.getvalue()), tr.window.length)
     assert np.array_equal(back.timestamps, tr.timestamps)
-    assert np.array_equal(back.docs, tr.docs)
+    assert np.array_equal(doc_ids(back), doc_ids(tr))
     if with_users:
-        assert np.array_equal(back.users, tr.users)
+        assert np.array_equal(back.user_names[back.users], tr.user_names[tr.users])
     # and byte-identical on a second pass
     buf2 = io.StringIO()
     serialize_trace(back, buf2)
@@ -140,7 +148,7 @@ def test_consolidate_idempotent(rng):
     once = consolidate_sessions(tr, 100_000)
     twice = consolidate_sessions(once, 100_000)
     assert np.array_equal(once.timestamps, twice.timestamps)
-    assert np.array_equal(once.docs, twice.docs)
+    assert np.array_equal(doc_ids(once), doc_ids(twice))
 
 
 def test_extract_subtrace_whole_window():
@@ -154,7 +162,8 @@ def test_extract_subtrace_densest():
     tr = build_trace([0, 1, 2, 100], ["a", "b", "c", "d"], window_length=100)
     sub = extract_subtrace(tr, 10)
     assert list(sub.timestamps) == [0, 1, 2]
-    assert list(sub.docs) == ["a", "b", "c"]
+    assert list(doc_ids(sub)) == ["a", "b", "c"]
+    assert list(sub.doc_names) == ["a", "b", "c"]  # "d" is gone from the table
 
 
 def test_extract_subtrace_empty():
@@ -208,3 +217,38 @@ def test_trace_stats_all_same_doc():
     s = trace_stats(build_trace([0, 1, 2], ["a", "a", "a"]))
     assert (s.distinct_docs, s.docs_single_request, s.docs_multi_request) == (1, 0, 1)
     assert s.mean_requests_multi == 3.0
+
+
+def test_trailing_nul_is_its_own_document():
+    # "a" and "a\x00" are two ids; a string re-encoding that drops trailing
+    # NULs once counted them as one document in some layers only
+    tr = trace_from("timestamp_ms,doc_id\n0,a\n1,a\x00\n2,b\n")
+    sample = build_joint_sample(tr)
+    counts = (
+        tr.distinct_docs,
+        trace_stats(tr).distinct_docs,
+        sample.n1 + sample.n2,
+        len(rank_frequency(tr)),
+    )
+    assert counts == (3, 3, 3, 3)
+    assert list(tr.doc_names) == ["a", "a\x00", "b"]
+
+
+def test_trace_checks_its_id_invariant():
+    ts, window = np.array([0, 1, 2]), ObservationWindow(5)
+    names = np.array(["a", "b"], dtype=object)
+    Trace(ts, np.array([0, 1, 0], np.int32), names, None, None, window)
+    bad = [
+        (np.array([0, 1, 0], np.int64), names),  # codes not int32
+        (np.array([0, 2, 0], np.int32), names),  # code out of range
+        (np.array([0, -1, 0], np.int32), names),  # negative code
+        (np.array([0, 0, 0], np.int32), names),  # unused name
+        (np.array([0, 1, 0], np.int32), names[::-1].copy()),  # not ascending
+        (np.array([0, 1, 0], np.int32), np.array(["a", "a"], dtype=object)),
+        (np.array([0, 1], np.int32), names),  # not one per request
+    ]
+    for codes, table in bad:
+        with pytest.raises(ValueError, match="doc ids"):
+            Trace(ts, codes, table, None, None, window)
+    with pytest.raises(ValueError, match="user ids"):
+        Trace(ts, np.array([0, 1, 0], np.int32), names, None, names, window)
