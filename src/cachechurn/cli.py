@@ -30,7 +30,9 @@ from .boxmodel import box_hit_ratio_curve, irm_che_curve, box_working_set
 from .estimators import build_joint_sample, estimate_catalog_rate, rank_frequency
 from .lrusim import check_cache_sizes, hit_ratio_curve, write_curve_csv
 from .shuffle import RANDOMIZATION_KINDS, randomize, run_semi_experiments
-from .synth import GeneratorConfig, generate_box_trace, monte_carlo_distinct_docs
+from .synth import (
+    ConfigParseError, GeneratorConfig, generate_box_trace, monte_carlo_distinct_docs,
+)
 from .trace import TraceParseError, consolidate_sessions, parse_trace, serialize_trace, trace_stats
 
 __all__ = ["main"]
@@ -96,6 +98,7 @@ def _check_flag_ranges(args) -> None:
         ("--reps", "reps", 2),
         ("--min-requests", "min_requests", 2),
         ("--gap-ms", "gap_ms", 1),
+        ("--seed", "seed", 0),
     ):
         value = getattr(args, attr, None)
         if value is not None and value < least:
@@ -358,7 +361,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, TraceParseError, json.JSONDecodeError) as exc:
+    except (OSError, TraceParseError, ConfigParseError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

@@ -3,8 +3,11 @@
 A request hits an LRU cache of capacity C exactly when its stack distance
 (the number of distinct documents requested since the previous request to
 the same document, counting the document itself) is at most C. One
-O(M log M) pass therefore yields the hit ratio at every cache size
-simultaneously; an explicit-list simulator is kept as an oracle.
+computation of all M stack distances therefore yields the hit ratio at
+every cache size simultaneously. It counts, for every request at once, the
+earlier requests whose previous-request position lies below its own, with
+O(log M) whole-array passes of a wavelet matrix: O(M log M) time and no
+Python loop per request. An explicit-list simulator is kept as an oracle.
 """
 
 from __future__ import annotations
@@ -118,13 +121,22 @@ class HitRatioCurve:
 
 
 def stack_distances(trace: Trace) -> StackDistanceProfile:
-    """Compute the stack distance of every request in one pass.
+    """Compute the stack distance of every request with whole-array passes.
 
-    Uses last-access marking over a Fenwick (binary indexed) tree: the
-    marker of each document sits at its most recent request position, so a
-    prefix-count query yields the number of distinct documents requested
-    since the previous request to the current document. O(M log M) time
-    for M requests.
+    Let ``v[i]`` be one plus the position of the previous request to the
+    document of request i, or 0 for a first request. The requests j
+    between that previous request and i with ``v[j] < v[i]`` are the
+    first requests there to each distinct document, and the ``v[i]``
+    requests up to and including the previous one all have
+    ``v[j] < v[i]``, so a repeat's stack distance is
+    ``#{j < i : v[j] < v[i]} - v[i] + 1``.
+
+    These prefix rank counts are answered together by a wavelet matrix
+    over ``v`` (Claude, Navarro & Ordonez, 2015). For each bit of ``v``,
+    from the top, one stable 0/1 partition of the values, one cumulative
+    count of zeros and two gathers move every query's prefix range to the
+    next level; no Python code runs per request. O(M log M) time for M
+    requests, in a few int32 working arrays (int64 from 2**31 requests).
 
     Parameters
     ----------
@@ -135,33 +147,52 @@ def stack_distances(trace: Trace) -> StackDistanceProfile:
     StackDistanceProfile
     """
     m = len(trace)
-    dist = np.full(m, -1, dtype=np.int64)
-    tree = [0] * (m + 1)  # 1-based Fenwick over request positions
-    last = [-1] * trace.distinct_docs  # last request position per doc code
-    for i, doc in enumerate(trace.docs.tolist()):
-        p = last[doc]
-        if p >= 0:
-            # markers strictly between positions p and i, plus the doc itself
-            s = 0
-            j = i
-            while j > 0:
-                s += tree[j]
-                j -= j & -j
-            j = p + 1
-            while j > 0:
-                s -= tree[j]
-                j -= j & -j
-            dist[i] = s + 1
-            # move the marker from p to i
-            j = p + 1
-            while j <= m:
-                tree[j] -= 1
-                j += j & -j
-        last[doc] = i
-        j = i + 1
-        while j <= m:
-            tree[j] += 1
-            j += j & -j
+    idx = np.int32 if m < 2**31 else np.int64
+    order = np.argsort(trace.docs, kind="stable").astype(idx)
+    codes = trace.docs[order]
+    prev = order[:-1] + 1  # candidate v of the request that follows in `order`
+    prev *= codes[1:] == codes[:-1]
+    del codes  # free each array when done: the peak is about 48 bytes a request
+    v = np.zeros(m, dtype=idx)
+    v[order[1:]] = prev
+    del order, prev
+
+    cur, nxt, rank, masked = v.copy(), np.empty_like(v), np.empty_like(v), np.empty_like(v)
+    zero, one = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
+    rank0 = np.zeros(m + 1, dtype=idx)  # zeros among the first j values
+    lo, hi = np.zeros(m, dtype=idx), np.arange(m, dtype=idx)  # query i: [0, i)
+    below = np.zeros(m, dtype=idx)
+    for level in reversed(range(max(m - 1, 0).bit_length())):  # v < m
+        bit = 1 << level
+        np.bitwise_and(cur, bit, out=rank)
+        np.equal(rank, 0, out=zero)
+        np.cumsum(zero, dtype=idx, out=rank0[1:])
+        z = rank0[m]
+        np.compress(zero, cur, out=nxt[:z])
+        np.logical_not(zero, out=zero)
+        np.compress(zero, cur, out=nxt[z:])
+        cur, nxt = nxt, cur
+        # a query whose threshold has this bit set counts the zeros of its
+        # range and moves to the ones, at z + (end - rank); otherwise it
+        # moves to the zeros, at rank. Both as one sum, which is faster
+        # than masked ufuncs: rank + one * (z + end - 2 * rank).
+        np.bitwise_and(v, bit, out=rank)
+        np.not_equal(rank, 0, out=one)
+        for end, sign in ((lo, np.subtract), (hi, np.add)):
+            np.take(rank0, end, out=rank, mode="clip")
+            np.multiply(rank, one, out=masked)
+            sign(below, masked, out=below)
+            end += z
+            end *= one
+            end += rank
+            end -= masked
+            end -= masked
+    del cur, nxt, rank, masked, zero, one, rank0, lo, hi
+
+    below -= v
+    below += 1
+    dist = below.astype(np.int64)
+    dist[v == 0] = -1
     return StackDistanceProfile(dist)
 
 

@@ -163,8 +163,11 @@ def _compact(codes: np.ndarray, names: np.ndarray):
     """Codes recoded onto the names they use, taken in ascending order."""
     used = np.flatnonzero(np.bincount(codes, minlength=len(names)))
     kept = np.asarray(names, dtype=object)[used]
-    # Python's sort compares strings faster than numpy's sort of objects
-    order = sorted(range(len(kept)), key=kept.tolist().__getitem__)
+    if np.all(kept[:-1] < kept[1:]):  # the table of an existing Trace
+        order = slice(None)
+    else:
+        # Python's sort compares strings faster than numpy's sort of objects
+        order = sorted(range(len(kept)), key=kept.tolist().__getitem__)
     recode = np.zeros(len(names), dtype=np.int32)
     recode[used[order]] = np.arange(len(used), dtype=np.int32)
     return recode[codes], kept[order]

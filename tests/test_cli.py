@@ -141,6 +141,9 @@ def test_shuffle_all_zero_reference_hit_ratio(tmp_path, capsys):
           "--tau", "10", "--t-grid", "50,500", "--reps", "3"], "--t-grid"),
         (["validate", "--gamma", "0.01", "--window-ms", "100", "--lambda", "0.1",
           "--tau", "10", "--t-grid", "50,nan", "--reps", "3"], "--t-grid"),
+        (["shuffle", "TRACE", "--kind", "global", "--seed", "-1"], "--seed"),
+        (["generate", "--gamma", "0.01", "--window-ms", "100", "--lambda", "0.1",
+          "--tau", "10", "--seed", "-3"], "--seed"),
     ],
 )
 def test_flag_out_of_range_usage_error(trace_file, tmp_path, capsys, argv, flag):
@@ -223,6 +226,21 @@ def test_generate_from_json_config_echoed_in_manifest(tmp_path):
     manifest = json.loads(Path(f"{out}.manifest.json").read_text())
     assert manifest["config"]["gamma"] == 0.002
     assert manifest["config"]["pairs"] == [[0.01, 500.0], [0.002, 3000.0]]
+
+
+@pytest.mark.parametrize("command", [["generate"], ["validate", "--t-grid", "10"]])
+@pytest.mark.parametrize(
+    "document, message",
+    [("{}", "lacks gamma, window_ms, pairs"), ("[1, 2]", "must be a JSON object"),
+     ('{"gamma": null, "window_ms": 5, "pairs": [[1, 2]]}', "malformed value")],
+)
+def test_malformed_config_is_parse_error(tmp_path, capsys, command, document, message):
+    cfg_path = tmp_path / "gen.json"
+    cfg_path.write_text(document)
+    out = tmp_path / "o.csv"
+    assert main(command + ["--config", str(cfg_path), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generate_requires_config_or_flags(tmp_path, capsys):

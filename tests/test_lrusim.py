@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,52 @@ def test_stack_distances_against_naive_scan(rng):
     prof = stack_distances(tr)
     assert list(prof.distances) == naive_stack_distances(tr.doc_names[tr.docs])
     assert sum(prof.histogram.values()) == prof.total_requests
+
+
+@pytest.mark.parametrize(
+    "m", sorted({1, 2, 3} | {2**k + e for k in range(1, 11) for e in (-1, 0, 1)})
+)
+def test_stack_distances_every_length(rng, m):
+    # the closing immediate repeat makes the largest position value M - 1
+    # occur, so a pass over one bit too few would miss it
+    docs = [f"d{int(i)}" for i in rng.integers(0, max(m // 4, 1), m)]
+    if m > 1:
+        docs[-1] = docs[-2]
+    tr = build_trace(np.arange(m), docs)
+    prof = stack_distances(tr)
+    assert prof.distances.dtype == np.int64
+    assert list(prof.distances) == naive_stack_distances(docs)
+
+
+def test_stack_distances_all_distinct():
+    prof = stack_distances(build_trace(np.arange(300), [f"d{i}" for i in range(300)]))
+    assert np.all(prof.distances == -1)
+    assert prof.histogram == {math.inf: 300}
+
+
+def test_stack_distances_single_document():
+    prof = stack_distances(build_trace(np.arange(257), ["a"] * 257))
+    assert prof.distances[0] == -1 and np.all(prof.distances[1:] == 1)
+
+
+def test_stack_distances_equal_timestamps(rng):
+    # simultaneous requests keep their input order
+    docs = [f"d{int(i)}" for i in rng.integers(0, 9, 200)]
+    prof = stack_distances(build_trace(np.full(200, 42), docs))
+    assert list(prof.distances) == naive_stack_distances(docs)
+
+
+def test_stack_distances_memory_budget(rng):
+    # int32 working arrays peak near 46 bytes a request; int64 ones near 83,
+    # which shows in the peak RSS of every simulation
+    tr = random_trace(rng, 2**17, 5000)
+    tracemalloc.start()
+    try:
+        stack_distances(tr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * len(tr)
 
 
 def test_hit_ratio_aba():
