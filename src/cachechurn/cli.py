@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .boxmodel import box_hit_ratio_curve, irm_che_curve, box_working_set
 from .estimators import build_joint_sample, estimate_catalog_rate, rank_frequency
-from .lrusim import check_cache_sizes, hit_ratio_curve, write_curve_csv
+from .lrusim import _rounded_sizes, check_cache_sizes, hit_ratio_curve, write_curve_csv
 from .shuffle import RANDOMIZATION_KINDS, randomize, run_semi_experiments
 from .synth import (
     ConfigParseError, GeneratorConfig, generate_box_trace, monte_carlo_distinct_docs,
@@ -73,7 +73,7 @@ def _parse_grid_spec(spec: str, max_size: int) -> np.ndarray:
     try:
         sizes = _range_spec(spec, int, 1, max_size)
         if sizes is not None:
-            return np.unique(np.rint(sizes).astype(np.int64))
+            return _rounded_sizes(sizes)
         return check_cache_sizes([int(tok) for tok in spec.split(",")])
     except (ValueError, OverflowError):  # overflow: an integer beyond int64
         raise _UsageError(f"bad --sizes spec {spec!r}")
@@ -93,16 +93,22 @@ def _parse_t_grid(spec: str, window: int) -> list:
 
 
 def _check_flag_ranges(args) -> None:
-    """Reject an integer flag below its documented least value."""
-    for flag, attr, least in (
-        ("--reps", "reps", 2),
-        ("--min-requests", "min_requests", 2),
-        ("--gap-ms", "gap_ms", 1),
-        ("--seed", "seed", 0),
+    """Reject a numeric flag below its documented least value, or at it
+    where the bound is strict (NaN fails every bound)."""
+    for flag, attr, least, strict in (
+        ("--reps", "reps", 2, False),
+        ("--min-requests", "min_requests", 2, False),
+        ("--gap-ms", "gap_ms", 1, False),
+        ("--seed", "seed", 0, False),
+        ("--gamma", "gamma", 0, False),
+        ("--window-ms", "window_ms", 0, True),
+        ("--lambda", "lam", 0, True),
+        ("--tau", "tau", 0, True),
+        ("--warmup-ms", "warmup_ms", 0, False),
     ):
         value = getattr(args, attr, None)
-        if value is not None and value < least:
-            raise _UsageError(f"{flag} must be >= {least}, got {value}")
+        if value is not None and not (value > least if strict else value >= least):
+            raise _UsageError(f"{flag} must be {'>' if strict else '>='} {least}, got {value}")
 
 
 def _load_trace(path: str, window: Optional[int], gap_ms: Optional[int]):

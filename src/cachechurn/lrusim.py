@@ -224,8 +224,13 @@ def log_size_grid(max_size: int, count: int = DEFAULT_GRID_POINTS) -> np.ndarray
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    sizes = np.unique(np.rint(np.geomspace(1, max_size, count)).astype(np.int64))
-    return sizes
+    return _rounded_sizes(np.geomspace(1, max_size, count))
+
+
+def _rounded_sizes(grid) -> np.ndarray:
+    """The distinct integer cache sizes a real-valued `grid` rounds to,
+    ascending."""
+    return np.unique(np.rint(grid).astype(np.int64))
 
 
 def check_cache_sizes(sizes: Sequence[int]) -> np.ndarray:

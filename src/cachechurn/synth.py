@@ -112,7 +112,8 @@ class GeneratorConfig:
         ``{gamma, window_ms, warmup_ms?, pairs: [[lambda, tau], ...]}``.
 
         Raises :class:`ConfigParseError` when the document is not of that
-        form: not an object, a key missing, or a value of the wrong kind.
+        form: not an object, a key missing, or a value of the wrong kind
+        or out of its range.
         """
         data = json.loads(text)
         if not isinstance(data, dict):
@@ -128,8 +129,11 @@ class GeneratorConfig:
             raise ConfigParseError(f"generator config has a malformed value: {exc}") from None
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ConfigParseError("pairs must be a list of [lambda, tau] pairs")
-        return cls(gamma=gamma, window=window, lambdas=pairs[:, 0], taus=pairs[:, 1],
-                   warmup=warmup)
+        try:
+            return cls(gamma=gamma, window=window, lambdas=pairs[:, 0], taus=pairs[:, 1],
+                       warmup=warmup)
+        except ValueError as exc:
+            raise ConfigParseError(f"generator config is out of range: {exc}") from None
 
     def to_json(self) -> str:
         return json.dumps(

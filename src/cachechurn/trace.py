@@ -9,10 +9,13 @@ simulation, generation) bit-reproducible.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import itertools
+from array import array
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -97,7 +100,7 @@ class Trace:
         if len(ts):
             if ts[0] < 0:
                 raise ValueError("negative timestamp in trace")
-            if np.any(np.diff(ts) < 0):
+            if (ts[1:] < ts[:-1]).any():
                 raise ValueError("timestamps are not sorted")
             if ts[-1] > self.window.length:
                 raise ValueError(
@@ -146,17 +149,26 @@ class TraceSummary:
             raise ValueError("distinct_docs must equal single + multi counts")
 
 
-#: CSV rows checked and interned together. A file is never held as
-#: strings at once, and few rows stay alive for the garbage collector.
-_BATCH_ROWS = 512
+#: Bytes of CSV the byte scan, and the serializer, take at a time, so their
+#: working arrays stay a small multiple of this whatever the trace's size.
+_BLOCK_BYTES = 1 << 18
+#: Odd multiplier of the id hash (Fibonacci hashing): any odd value gives
+#: the same result, since every row is checked against its group's first.
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+#: ``_KEEP[k]`` keeps the first k bytes of a little-endian 8-byte word,
+#: ``_LAST[k]`` its last k bytes, and ``_ZEROS[k]`` fills the rest with "0".
+_KEEP = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+_LAST = _KEEP[::-1] ^ np.uint64(2**64 - 1)
+_ZEROS = np.uint64(0x3030303030303030) & _KEEP[::-1]
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
 
 
-def _intern(values, table: dict) -> np.ndarray:
-    """Int32 code of each value in `table` (name -> code), which first
-    takes the names it does not hold yet, in order of appearance."""
-    fresh = itertools.filterfalse(table.__contains__, dict.fromkeys(values))
-    table.update(zip(fresh, itertools.count(len(table))))
-    return np.fromiter(map(table.__getitem__, values), np.int32, len(values))
+def _intern(values):
+    """Int32 code of each value, and the distinct values in order of
+    appearance that the codes index."""
+    table = dict.fromkeys(values)
+    table.update(zip(table, itertools.count()))
+    return np.fromiter(map(table.__getitem__, values), np.int32, len(values)), list(table)
 
 
 def _compact(codes: np.ndarray, names: np.ndarray):
@@ -181,12 +193,13 @@ def _make_trace(
     stably by time, keep the used names and recode them in ascending
     order. Every Trace is built here."""
     ts = np.asarray(timestamps, dtype=np.int64)
-    order = np.argsort(ts, kind="stable")
-    ts = ts[order]
+    if (ts[1:] < ts[:-1]).any():  # else already in order, and no copies are made
+        order = np.argsort(ts, kind="stable")
+        ts, docs, users = ts[order], docs[order], None if users is None else users[order]
     if window_length is None:
         window_length = max(int(ts[-1]) if len(ts) else 0, 1)
-    docs, doc_names = _compact(docs[order], doc_names)
-    users, user_names = (None, None) if users is None else _compact(users[order], user_names)
+    docs, doc_names = _compact(docs, doc_names)
+    users, user_names = (None, None) if users is None else _compact(users, user_names)
     window = ObservationWindow(int(window_length))
     return Trace(ts, docs, doc_names, users, user_names, window)
 
@@ -203,11 +216,8 @@ def build_trace(
     timestamp when `window_length` is not given (at least 1 ms so the
     window stays valid for empty or single-instant traces).
     """
-    doc_table, user_table = {}, {}
-    doc_codes = _intern(docs, doc_table)
-    user_codes = None if users is None else _intern(users, user_table)
-    return _make_trace(timestamps, doc_codes, list(doc_table), user_codes,
-                       list(user_table), window_length)
+    users = (None, None) if users is None else _intern(users)
+    return _make_trace(timestamps, *_intern(docs), *users, window_length)
 
 
 def parse_trace(reader, window_length: Optional[int] = None) -> Trace:
@@ -215,15 +225,20 @@ def parse_trace(reader, window_length: Optional[int] = None) -> Trace:
 
     The expected format is a header line ``timestamp_ms,doc_id`` or
     ``timestamp_ms,doc_id,user_id`` followed by one row per request.
-    Rows may be in any time order; the result is sorted stably. A file is
-    read in batches of rows, interning the ids of each batch as it goes.
+    Rows may be in any time order; the result is sorted stably.
+
+    A plain file is read by whole-array passes over blocks of its bytes.
+    A file holding a quote or a lone CR, or a row that is blank, has the
+    wrong field count, an empty field or a timestamp other than 1 to 18
+    ASCII digits, is read by the stdlib ``csv`` module instead. Both give
+    the same trace, or the same error.
 
     Parameters
     ----------
     reader : text or binary file-like, or str path
-        Source of the CSV data. Paths and bytes are decoded as UTF-8, a
-        leading byte-order mark skipped; both LF and CRLF line endings are
-        accepted.
+        Source of the CSV data, read whole. Paths and bytes are UTF-8, a
+        leading byte-order mark skipped; text is encoded as UTF-8 as it
+        is. Both LF and CRLF line endings are accepted.
     window_length : int, optional
         Observation window in milliseconds. Defaults to the maximum
         timestamp in the data.
@@ -236,92 +251,308 @@ def parse_trace(reader, window_length: Optional[int] = None) -> Trace:
     ------
     TraceParseError
         On a malformed header or row (non-integer timestamp, one beyond
-        int64, missing field), naming the offending line.
+        int64, missing field, an id that is not valid UTF-8), naming the
+        offending line.
     ValueError
         When a timestamp exceeds the supplied `window_length`.
     """
     if isinstance(reader, (str, bytes)) and not hasattr(reader, "read"):
-        with open(reader, "r", encoding="utf-8-sig", newline="") as handle:
-            return parse_trace(handle, window_length)
-    if not isinstance(reader, io.TextIOWrapper):  # bytes or text in memory
-        raw = reader.read()
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8-sig")
-        reader = io.StringIO(raw, newline="")
-    rows = csv.reader(reader)
-    try:
-        header = next(rows)
-    except StopIteration:
+        with open(reader, "rb") as handle:
+            data = handle.read()
+    else:
+        data = reader.read()
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")  # a lone surrogate fails as UTF-8
+    else:
+        data = data.removeprefix(codecs.BOM_UTF8)
+    if not data:
         raise TraceParseError("empty input, expected a header line", line=1)
-    header = [h.strip() for h in header]
+    rows = _scan(data) or _tokenize(data)
+    del data  # the rows hold no reference to it
+    return _assemble(*rows, window_length)
+
+
+def _check_header(fields) -> int:
+    """The field count of a row under the header `fields`."""
+    header = [h.strip() for h in fields]
     if header not in (["timestamp_ms", "doc_id"], ["timestamp_ms", "doc_id", "user_id"]):
         raise TraceParseError(f"unexpected header {header!r}", line=1)
-    expected = len(header)
-    has_user = expected == 3
-    doc_table, user_table = {}, {}
-    columns = [np.empty(0, np.int64)], [np.empty(0, np.int32)], [np.empty(0, np.int32)]
-    line = 2
-    while batch := list(itertools.islice(rows, _BATCH_ROWS)):
-        ts, ids = _parse_batch(batch, line, expected, window_length)
-        columns[0].append(ts)
-        columns[1].append(_intern(ids[0], doc_table))
-        columns[2].append(_intern(ids[1] if has_user else (), user_table))
-        line += len(batch)
-    ts, doc_codes, user_codes = (np.concatenate(c) for c in columns)
-    return _make_trace(ts, doc_codes, list(doc_table), user_codes if has_user else None,
-                       list(user_table), window_length)
+    return len(header)
 
 
-def _parse_batch(batch, line: int, expected: int, window_length: Optional[int]):
-    """Timestamps and id columns of the CSV rows `batch`, the first on
-    `line`, skipping blank rows. The rows are checked together, and one
-    by one only when they fail, to name the first bad row."""
-    rows = batch if all(batch) else [row for row in batch if row]
-    try:
-        fields = list(zip(*rows, strict=True)) or [()] * expected  # unequal rows raise
-        ts = np.fromiter(map(int, fields[0]), np.int64, len(rows))
-        if len(fields) != expected or len(rows) and (ts.min() < 0 or not all(fields[1]) or (
-                window_length is not None and ts.max() > window_length)):
-            raise ValueError
-        return ts, fields[1:]
-    except (ValueError, OverflowError):
-        pass
-    for lineno, row in enumerate(batch, start=line):  # the first bad row raises
-        if not row:
-            continue
-        if len(row) != expected:
-            raise TraceParseError(f"expected {expected} fields, got {len(row)}", line=lineno)
+def _assemble(ts, columns, lines, error, window_length: Optional[int]) -> Trace:
+    """The trace of the rows both tokenizers give, after the checks they
+    share: the first timestamp beyond the window, then `error` (the first
+    bad row, on a later line), then the first id that is not UTF-8.
+
+    `columns` holds, per id column, the codes of the rows and the names
+    they index, as bytes; `lines` holds each row's line, None when the
+    rows are lines 2, 3, ...
+    """
+    def line(row: int) -> int:
+        return row + 2 if lines is None else int(lines[row])
+
+    if window_length is not None and len(ts) and ts.max() > window_length:
+        row = int(np.argmax(ts > window_length))
+        raise ValueError(f"line {line(row)}: timestamp {ts[row]} exceeds window {window_length}")
+    if error is not None:
+        raise error
+    tables, failures = [], []
+    for column, (codes, table) in enumerate(columns):
         try:
-            ts = int(row[0])
-        except ValueError:
-            raise TraceParseError(f"non-integer timestamp {row[0]!r}", line=lineno)
-        if ts < 0:
-            raise TraceParseError(f"negative timestamp {ts}", line=lineno)
-        if ts >= 1 << 63:
-            raise TraceParseError(f"timestamp {ts} beyond int64", line=lineno)
-        if not row[1]:
-            raise TraceParseError("empty doc_id", line=lineno)
-        if window_length is not None and ts > window_length:
-            raise ValueError(f"line {lineno}: timestamp {ts} exceeds window {window_length}")
-    raise AssertionError("the rows failed their joint check but no row check")
+            tables.append(list(map(bytes.decode, table)))
+        except UnicodeDecodeError:
+            bad = [code for code, name in enumerate(table)
+                   if name.decode("utf-8", "ignore").encode() != name]
+            failures.append((int(np.flatnonzero(np.isin(codes, bad))[0]), column))
+    if failures:
+        row, column = min(failures)
+        raise TraceParseError(f"{('doc_id', 'user_id')[column]} is not valid UTF-8",
+                              line=line(row))
+    users = (columns[1][0], tables[1]) if len(columns) > 1 else (None, None)
+    return _make_trace(ts, columns[0][0], tables[0], *users, window_length)
+
+
+def _tokenize(data: bytes):
+    """The rows of `data` by the stdlib csv reader, up to the first bad
+    one, as :func:`_assemble` takes them. Ids keep their bytes, undecodable
+    ones included."""
+    rows = csv.reader(io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogateescape",
+                                       newline=""))
+    expected = _check_header(next(rows))
+    stamps, lines, docs, users = array("q"), array("q"), array("i"), array("i")
+    doc_table, user_table, error, line = {}, {}, None, 1
+    try:
+        for line, row in enumerate(rows, start=2):
+            if row:
+                stamps.append(_row_timestamp(row, expected, line))
+                lines.append(line)
+                docs.append(doc_table.setdefault(row[1], len(doc_table)))
+                if expected == 3:
+                    users.append(user_table.setdefault(row[2], len(user_table)))
+    except TraceParseError as exc:
+        error = exc
+    except csv.Error as exc:  # a field beyond the csv module's size limit
+        error = TraceParseError(str(exc), line=line + 1)
+    columns = [(np.frombuffer(codes, np.int32),
+                [name.encode("utf-8", "surrogateescape") for name in table])
+               for codes, table in ((docs, doc_table), (users, user_table))[: expected - 1]]
+    return np.frombuffer(stamps, np.int64), columns, np.frombuffer(lines, np.int64), error
+
+
+def _row_timestamp(row, expected: int, line: int) -> int:
+    """The timestamp of a csv `row`, checked with the rest of the row."""
+    if len(row) != expected:
+        raise TraceParseError(f"expected {expected} fields, got {len(row)}", line=line)
+    try:
+        ts = int(row[0])
+    except ValueError:
+        raise TraceParseError(f"non-integer timestamp {row[0]!r}", line=line) from None
+    if ts < 0:
+        raise TraceParseError(f"negative timestamp {ts}", line=line)
+    if ts >= 1 << 63:
+        raise TraceParseError(f"timestamp {ts} beyond int64", line=line)
+    if not row[1]:
+        raise TraceParseError("empty doc_id", line=line)
+    return ts
+
+
+def _scan(data: bytes):
+    """The rows of `data` by whole-array passes over blocks of its bytes,
+    as :func:`_assemble` takes them, or None when the input is not plain
+    (see :func:`parse_trace`) or holds a field beyond the csv module's
+    size limit."""
+    crlf = b"\r" in data
+    if b'"' in data or crlf and data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    pos = data.find(b"\n") + 1 or len(data)
+    head = data[:pos].rstrip(b"\r\n")
+    expected = _check_header(head.decode("utf-8", "surrogateescape").split(",") if head else [])
+    count = data.count(b"\n", pos) + (pos < len(data) and not data.endswith(b"\n"))
+    ts = np.empty(count, np.int64)
+    codes = [np.empty(count, np.int32) for _ in range(expected - 1)]
+    # per column and block, where one id of each of the block's groups starts and ends
+    groups = [[(np.zeros(0, np.int64),) * 2] for _ in codes]
+    buf = np.frombuffer(data, np.uint8)
+    words = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))  # a word at each byte
+    limit, row = csv.field_size_limit(), 0
+    while pos < len(data):
+        stop = len(data)
+        if stop - pos > _BLOCK_BYTES:  # end the block after a newline
+            stop = (data.rfind(b"\n", pos, pos + _BLOCK_BYTES) + 1
+                    or data.find(b"\n", pos + _BLOCK_BYTES) + 1 or stop)
+        block = buf[pos:stop]
+        ends = np.flatnonzero(block <= 44)  # commas and newlines, and rarer bytes
+        kinds = block[ends]
+        separator = (kinds == 44) | (kinds == 10)
+        if not separator.all():
+            ends, kinds = ends[separator], kinds[separator]
+        if block[-1] != 10:  # the last row has no newline
+            ends, kinds = np.append(ends, len(block)), np.append(kinds, 10)
+        if len(ends) % expected:
+            return None
+        ends, kinds = ends.reshape(-1, expected) + pos, kinds.reshape(-1, expected)
+        if (kinds[:, :-1] != 44).any() or (kinds[:, -1] != 10).any():
+            return None
+        starts = np.empty_like(ends)
+        starts[0, 0], starts[1:, 0], starts[:, 1:] = pos, ends[:-1, -1] + 1, ends[:, :-1] + 1
+        if crlf:
+            ends[:, -1] -= buf[ends[:, -1] - 1] == 13
+        widths = ends - starts
+        if widths.min() < 1 or widths.max() > limit or widths[:, 0].max() > 18:
+            return None
+        block_ts = _digits(words, ends[:, 0], widths[:, 0])
+        if block_ts is None:
+            return None
+        n = len(block_ts)
+        ts[row:row + n] = block_ts
+        for column, out, group in zip(range(1, expected), codes, groups):
+            found = _group_ids(words, starts[:, column], ends[:, column])
+            if found is None:
+                return None
+            out[row:row + n] = found[0] + sum(len(s) for s, _ in group)  # after earlier groups
+            group.append(found[1:])
+        row, pos = row + n, stop
+    tables = [_name_table(data, words, out, group) for out, group in zip(codes, groups)]
+    if None in tables:
+        return None
+    return ts, list(zip(codes, tables)), None, None
+
+
+def _digits(words: np.ndarray, ends: np.ndarray, widths: np.ndarray) -> Optional[np.ndarray]:
+    """The integer each field of `widths` ASCII digits ending before
+    `ends` spells, or None when a byte is not a digit. Eight digits are
+    read at once, from a word with the bytes before the field set to "0"."""
+    value = np.zeros(len(ends), np.uint64)
+    sign, six = np.uint64(0x8080808080808080), np.uint64(0x4646464646464646)
+    for at in range(0, int(widths.max()), 8):
+        inside = np.clip(widths - at, 0, 8)
+        word = words[np.maximum(ends - at - 8, 0)] & _LAST[inside] | _ZEROS[inside]
+        if ((word - _ZEROS[0] | word + six) & sign).any():  # a byte below "0" or above "9"
+            return None
+        # pairs, then fours, then all eight digits combined in place
+        word = (word & np.uint64(0x0F0F0F0F0F0F0F0F)) * np.uint64(10 << 8 | 1) >> np.uint64(8)
+        word = (word & np.uint64(0x00FF00FF00FF00FF)) * np.uint64(100 << 16 | 1) >> np.uint64(16)
+        word = (word & np.uint64(0x0000FFFF0000FFFF)) * np.uint64(10000 << 32 | 1) >> np.uint64(32)
+        value += word * np.uint64(10**at)
+    return value.view(np.int64)
+
+
+def _word(words: np.ndarray, at: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """The 8 bytes of the data from each of `at` as a little-endian word,
+    zero past the `left` bytes that remain of its id."""
+    top = np.minimum(at, len(words) - 1)  # the last word ends the data
+    return words[top] >> ((at - top) * 8).astype(np.uint64) & _KEEP[np.minimum(left, 8)]
+
+
+def _group_ids(words: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Group the ids ``data[starts:ends]`` by a hash of their bytes, and
+    check each byte for byte against the first of its group. Returns the
+    group of each id, and where the first id of each group starts and
+    ends; None when two distinct ids share a hash."""
+    lengths, chunks = ends - starts, []
+    key, shortest = lengths.astype(np.uint64), lengths.min(initial=2**62)
+    for at in range(0, int(lengths.max(initial=0)), 8):
+        # the ids that reach this word: all of them, or few when some are long
+        rows = slice(None) if at < shortest else np.flatnonzero(lengths > at)
+        word = _word(words, starts[rows] + at, lengths[rows] - at)
+        key[rows] = (key[rows] ^ word) * _MIX
+        chunks.append((at, rows, word))
+    # one sort of the hashes' high bits, with each id's index in the low bits
+    bits = np.uint64(max(len(key) - 1, 1).bit_length())
+    key = key >> bits << bits | np.arange(len(key), dtype=np.uint64)
+    key.sort()
+    order = (key & (np.uint64(1) << bits) - np.uint64(1)).astype(np.intp)
+    key >>= bits
+    new = np.ones(len(key), bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    first = order[new]
+    group = np.empty(len(key), np.intp)
+    group[order] = np.cumsum(new) - 1
+    twin = first[group]
+    if (lengths[twin] != lengths).any() or any(
+            (word != (word[twin] if isinstance(rows, slice) else
+                      _word(words, starts[twin[rows]] + at, lengths[rows] - at))).any()
+            for at, rows, word in chunks):
+        return None
+    return group, starts[first], ends[first]
+
+
+def _name_table(data: bytes, words: np.ndarray, codes: np.ndarray, blocks: list):
+    """The distinct ids of one column, given where one id of each group of
+    each block (`blocks`) starts and ends, with the `codes` that index
+    those groups recoded in place to index the result; None on a hash
+    collision."""
+    found = _group_ids(words, *(np.concatenate(part) for part in zip(*blocks)))
+    if found is None:
+        return None
+    recode, starts, ends = found
+    for lo in range(0, len(codes), _BLOCK_BYTES):  # no index copy of the whole column
+        codes[lo:lo + _BLOCK_BYTES] = recode[codes[lo:lo + _BLOCK_BYTES]]
+    return list(map(data.__getitem__, map(slice, starts.tolist(), ends.tolist())))
 
 
 def serialize_trace(trace: Trace, writer) -> None:
     """Write a trace as CSV, the inverse of :func:`parse_trace`.
 
-    Emits the ``user_id`` column only when the trace carries users.
+    Emits the ``user_id`` column only when the trace carries users. Each
+    distinct id is formatted once, by the stdlib ``csv`` writer unless no
+    id of its column needs quoting; the rows are then laid out as byte
+    arrays, a block at a time.
     """
-    columns = [trace.timestamps.tolist(), trace.doc_names[trace.docs].tolist()]
-    tables = [trace.doc_names]
+    columns = [(trace.docs, trace.doc_names.tolist())]
     if trace.users is not None:
-        columns.append(trace.user_names[trace.users].tolist())
-        tables.append(trace.user_names)
+        columns.append((trace.users, trace.user_names.tolist()))
+    texts = [",".join(map(str, names)) for _, names in columns]
     # the writer quotes an id holding "\n" but not one holding a lone "\r"
-    carriage = any("\r" in str(name) for table in tables for name in table)
-    out = csv.writer(writer, lineterminator="\n",
-                     quoting=csv.QUOTE_NONNUMERIC if carriage else csv.QUOTE_MINIMAL)
-    out.writerow(["timestamp_ms", "doc_id", "user_id"][: len(columns)])
-    out.writerows(zip(*columns))
+    carriage = any("\r" in text for text in texts)
+    quoting = csv.QUOTE_NONNUMERIC if carriage else csv.QUOTE_MINIMAL
+    out = csv.writer(writer, lineterminator="\n", quoting=quoting)
+    out.writerow(["timestamp_ms", "doc_id", "user_id"][: len(columns) + 1])
+    # a writer whose file returns each row it is given, as text
+    fields = csv.writer(SimpleNamespace(write=str), lineterminator="\n", quoting=quoting)
+    tables = []
+    for (codes, names), text in zip(columns, texts):
+        if (names and not carriage and text.count(",") == len(names) - 1
+                and '"' not in text and "\n" not in text and set(map(type, names)) == {str}):
+            # QUOTE_MINIMAL writes a string with no delimiter, quote or newline as it is
+            cells = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+            lengths = np.diff(np.flatnonzero(np.append(cells, 44) == 44), prepend=-1) - 1
+            cells = cells[cells != 44]
+        else:  # "0," + field + "\n": each field as the writer puts it within a row
+            cells = [row[2:-1].encode("utf-8", "surrogatepass")
+                     for row in map(fields.writerow, zip(itertools.repeat(0), names))]
+            lengths = np.fromiter(map(len, cells), np.int64, len(cells))
+            cells = np.frombuffer(b"".join(cells), np.uint8)
+        used = np.arange(lengths.max(initial=0)) < lengths[:, None]
+        table = np.zeros(used.shape, np.uint8)
+        table[used] = cells
+        tables.append((codes, table, lengths))
+    ts = trace.timestamps
+    width = len(str(ts.max(initial=0)))
+    row_bytes = width + 1 + sum(table.shape[1] + 1 for _, table, _ in tables)
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    for lo in range(0, len(ts), step):
+        # one fixed-width row of cells per request, and which cells it uses
+        rest = ts[lo:lo + step]
+        cells = np.empty((len(rest), row_bytes), np.uint8)
+        used = np.ones(cells.shape, bool)
+        digits = np.searchsorted(_POW10[1:], rest, side="right") + 1
+        used[:, :width] = np.arange(width) >= width - digits[:, None]
+        for col in range(width - 1, -1, -1):  # digits right-aligned
+            rest, digit = np.divmod(rest, 10)
+            cells[:, col] = digit + 48
+        col = width
+        for codes, table, lengths in tables:
+            block = codes[lo:lo + step]
+            cells[:, col] = 44
+            col += 1
+            cells[:, col:col + table.shape[1]] = table[block]
+            used[:, col:col + table.shape[1]] = (
+                np.arange(table.shape[1]) < lengths[block][:, None])
+            col += table.shape[1]
+        cells[:, col] = 10
+        writer.write(cells[used].tobytes().decode("utf-8", "surrogatepass"))
 
 
 def consolidate_sessions(

@@ -71,6 +71,15 @@ def test_simulate_empty_trace_is_validation_error(tmp_path, capsys):
     assert code == 1
 
 
+def test_simulate_non_utf8_trace_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"timestamp_ms,doc_id\n1,a\n2,\xff\xfe\n")
+    out = tmp_path / "o.csv"
+    assert main(["simulate", str(path), "--out", str(out)]) == 3
+    assert "line 3: doc_id is not valid UTF-8" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_subcommand_usage():
     assert main(["frobnicate"]) == 2
 
@@ -144,6 +153,8 @@ def test_shuffle_all_zero_reference_hit_ratio(tmp_path, capsys):
         (["shuffle", "TRACE", "--kind", "global", "--seed", "-1"], "--seed"),
         (["generate", "--gamma", "0.01", "--window-ms", "100", "--lambda", "0.1",
           "--tau", "10", "--seed", "-3"], "--seed"),
+        (["generate", "--gamma", "-1", "--window-ms", "5", "--lambda", "1", "--tau", "2"],
+         "--gamma"),
     ],
 )
 def test_flag_out_of_range_usage_error(trace_file, tmp_path, capsys, argv, flag):
@@ -232,7 +243,8 @@ def test_generate_from_json_config_echoed_in_manifest(tmp_path):
 @pytest.mark.parametrize(
     "document, message",
     [("{}", "lacks gamma, window_ms, pairs"), ("[1, 2]", "must be a JSON object"),
-     ('{"gamma": null, "window_ms": 5, "pairs": [[1, 2]]}', "malformed value")],
+     ('{"gamma": null, "window_ms": 5, "pairs": [[1, 2]]}', "malformed value"),
+     ('{"gamma": -1, "window_ms": 5, "pairs": [[1, 2]]}', "gamma must be non-negative")],
 )
 def test_malformed_config_is_parse_error(tmp_path, capsys, command, document, message):
     cfg_path = tmp_path / "gen.json"

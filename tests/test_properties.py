@@ -1,8 +1,10 @@
 """Property tests: the batched characteristic-time inverter and the bounds
 of the predicted hit-ratio curve; exact stack distances, the CSV round
-trip, session consolidation and the randomization invariants of the trace
-layer."""
+trip, the two CSV tokenizers and the serializer against the stdlib csv
+module, session consolidation and the randomization invariants of the
+trace layer."""
 
+import csv
 import io
 
 import numpy as np
@@ -12,6 +14,7 @@ from cachechurn.boxmodel import box_hit_ratio_curve, box_working_set, characteri
 from cachechurn.estimators import build_joint_sample, estimate_catalog_rate
 from cachechurn.lrusim import brute_force_lru, stack_distances
 from cachechurn.shuffle import randomize_global, randomize_local, randomize_positional
+from cachechurn import trace as trace_module
 from cachechurn.trace import (
     build_trace,
     consolidate_sessions,
@@ -117,6 +120,97 @@ def test_serialize_parse_round_trip(rows, with_users):
         assert back.user_names[back.users].tolist() == trace.user_names[trace.users].tolist()
     else:
         assert back.users is None
+
+
+#: rows the byte scan takes, and rows that each send a file to the csv
+#: reader or make it bad: a quote, a lone CR, a blank line, a field too
+#: many or too few, an empty field, a timestamp that is signed, spaced or
+#: beyond 18 digits, an id that is not UTF-8
+plain_bytes = [b"a", b"b", b"7", b"\x00", b" ", b"+", b"\xc3\xa9", b"\xef\xbb\xbf"]
+plain_id = st.one_of(
+    st.lists(st.sampled_from(plain_bytes), min_size=1, max_size=12).map(b"".join),
+    st.sampled_from([b"abcdefgh", b"abcdefgh\x00", b"abcdefghij", b"abcdefghij\x00",
+                     b"a", b"a\x00"]),
+)
+digits = st.integers(0, 10**6).map(lambda v: str(v).encode())
+plain_row = st.tuples(digits, plain_id, plain_id, st.sampled_from([b"\n", b"\n", b"\r\n"]))
+odd = st.lists(st.sampled_from(plain_bytes + [b",", b"\r", b"\n", b'"', b"\xff", b"-"]),
+               max_size=6).map(b"".join)
+odd_row = st.tuples(st.one_of(st.integers(0, 10**20).map(lambda v: str(v).encode()), odd),
+                    st.one_of(plain_id, odd), st.one_of(plain_id, odd),
+                    st.sampled_from([b"\n", b"\r", b""]))
+
+
+def outcome(parse):
+    """The trace `parse()` gives, as lists, or its error; None for None."""
+    try:
+        trace = parse()
+    except ValueError as exc:  # TraceParseError included
+        return type(exc), str(exc)
+    if trace is None:
+        return None
+    columns = ("timestamps", "docs", "doc_names", "users", "user_names")
+    return [None if getattr(trace, c) is None else getattr(trace, c).tolist()
+            for c in columns] + [trace.window.length]
+
+
+@settings(max_examples=300, deadline=None)
+@given(with_users=st.booleans(), rows=st.lists(plain_row, max_size=8),
+       odd=st.one_of(st.none(), st.none(), st.tuples(st.integers(0, 8), odd_row)),
+       ends_with_newline=st.booleans(), bom=st.booleans(),
+       window=st.sampled_from([None, None, 5, 10**19]))
+@example(with_users=True, rows=[(b"7", b"abcdefghij", b"u\x00", b"\r\n")] * 2,
+         odd=(1, (b"5", b"d", b"\xff", b"\n")), ends_with_newline=False, bom=True, window=None)
+@example(with_users=False, rows=[], odd=(0, (b"9" * 19, b"d", b"", b"\n")),
+         ends_with_newline=True, bom=False, window=None)  # 19 digits: beyond int64
+def test_byte_scan_matches_csv_reader(with_users, rows, odd, ends_with_newline, bom, window):
+    if odd is not None:
+        rows.insert(odd[0], odd[1])
+    lines = [b"timestamp_ms,doc_id" + b",user_id" * with_users + b"\n"]
+    lines += [b",".join((ts, doc, user)[: 2 + with_users]) + end for ts, doc, user, end in rows]
+    data = b"".join(lines).removesuffix(b"\n" * (not ends_with_newline))
+
+    def assembled(tokenize):
+        rows = tokenize(data)
+        return None if rows is None else trace_module._assemble(*rows, window)
+
+    scanned = outcome(lambda: assembled(trace_module._scan))
+    read = outcome(lambda: assembled(trace_module._tokenize))
+    assert scanned is None or scanned == read
+    source = io.BytesIO(b"\xef\xbb\xbf" * bom + data)
+    assert outcome(lambda: parse_trace(source, window)) == read
+
+
+def reference_csv(trace):
+    """The CSV of a trace by the stdlib csv writer, one row at a time."""
+    columns = [trace.timestamps.tolist(), trace.doc_names[trace.docs].tolist()]
+    tables = [trace.doc_names]
+    if trace.users is not None:
+        columns.append(trace.user_names[trace.users].tolist())
+        tables.append(trace.user_names)
+    carriage = any("\r" in name for table in tables for name in table)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n",
+                        quoting=csv.QUOTE_NONNUMERIC if carriage else csv.QUOTE_MINIMAL)
+    writer.writerow(["timestamp_ms", "doc_id", "user_id"][: len(columns)])
+    writer.writerows(zip(*columns))
+    return out.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.integers(0, 2**63 - 1), st.text(max_size=12),
+                            st.text(max_size=12)), max_size=30),
+    with_users=st.booleans(),
+)
+@example(rows=[(0, "a\rb", "")], with_users=True)
+def test_serialize_matches_csv_writer(rows, with_users):
+    users = [u for _, _, u in rows] if with_users else None
+    trace = build_trace([t for t, _, _ in rows], [d for _, d, _ in rows], users,
+                        window_length=2**63 - 1)
+    out = io.StringIO()
+    serialize_trace(trace, out)
+    assert out.getvalue() == reference_csv(trace)
 
 
 def consolidate_reference(trace, gap):

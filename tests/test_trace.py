@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from cachechurn import trace as trace_module
 from cachechurn.estimators import build_joint_sample, rank_frequency
 from cachechurn.trace import (
     ObservationWindow,
@@ -49,6 +50,18 @@ def test_parse_error_names_line():
     with pytest.raises(TraceParseError, match="line 3: timestamp .* beyond int64"):
         trace_from("timestamp_ms,doc_id\n0,a\n123456789012345678901,b\n")
     parse_trace(io.StringIO(f"timestamp_ms,doc_id\n{2**63 - 1},a\n"))
+    # an id that is not UTF-8, on the byte scan and (a quote) on the csv reader
+    for data in (b"timestamp_ms,doc_id\n1,a\n2,\xff\xfe\n",
+                 b'timestamp_ms,doc_id\n1,"a"\n2,\xff\xfe\n',
+                 b"timestamp_ms,doc_id,user_id\n1,a,\xff\n2,\xff,u\n"):
+        with pytest.raises(TraceParseError, match="line 2: user_id is not valid UTF-8"
+                           if b"user" in data else "line 3: doc_id is not valid UTF-8"):
+            parse_trace(io.BytesIO(data))
+    with pytest.raises(TraceParseError, match="line 2: doc_id is not valid UTF-8"):
+        trace_from("timestamp_ms,doc_id\n1,a\ud800\n")  # text is encoded first
+    # a field beyond the csv module's size limit, which the byte scan leaves to it
+    with pytest.raises(TraceParseError, match="line 3: field larger than field limit"):
+        parse_trace(io.BytesIO(b"timestamp_ms,doc_id\n1,a\n2," + b"x" * 200_000 + b"\n"))
 
 
 def test_parse_error_missing_field():
@@ -232,6 +245,37 @@ def test_trailing_nul_is_its_own_document():
     )
     assert counts == (3, 3, 3, 3)
     assert list(tr.doc_names) == ["a", "a\x00", "b"]
+
+
+def test_small_blocks_change_nothing(monkeypatch, rng):
+    # blocks end after a newline or, past a row longer than a block, at the
+    # next one; ids recur across blocks and are merged into one table
+    tr = random_trace(rng, 300, 40, with_users=True)
+    buf = io.StringIO()
+    serialize_trace(tr, buf)
+    data = buf.getvalue().encode()
+    expected = parse_trace(io.BytesIO(data))
+    monkeypatch.setattr(trace_module, "_BLOCK_BYTES", 16)
+    got = parse_trace(io.BytesIO(data))
+    assert trace_module._scan(data) is not None
+    for field in ("timestamps", "docs", "doc_names", "users", "user_names"):
+        assert getattr(got, field).tolist() == getattr(expected, field).tolist()
+    again = io.StringIO()
+    serialize_trace(got, again)
+    assert again.getvalue() == buf.getvalue()
+
+
+def test_hash_collision_falls_back_to_csv(monkeypatch):
+    # with a multiplier of 0 every id hashes alike: the byte scan finds
+    # distinct ids in one group and leaves the file to the csv reader
+    data = b"timestamp_ms,doc_id,user_id\n3,bb,u\n1,a,u\n2,a\x00,v\n"
+    expected = parse_trace(io.BytesIO(data))
+    monkeypatch.setattr(trace_module, "_MIX", np.uint64(0))
+    assert trace_module._scan(data) is None
+    got = parse_trace(io.BytesIO(data))
+    for field in ("timestamps", "docs", "doc_names", "users", "user_names"):
+        assert getattr(got, field).tolist() == getattr(expected, field).tolist()
+    assert list(doc_ids(got)) == ["a", "a\x00", "bb"]
 
 
 def test_trace_checks_its_id_invariant():
