@@ -13,7 +13,6 @@ import codecs
 import csv
 import io
 import itertools
-from array import array
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Optional, Sequence
@@ -152,8 +151,12 @@ class TraceSummary:
 #: Bytes of CSV the byte scan, and the serializer, take at a time, so their
 #: working arrays stay a small multiple of this whatever the trace's size.
 _BLOCK_BYTES = 1 << 18
-#: Odd multiplier of the id hash (Fibonacci hashing): any odd value gives
-#: the same result, since every row is checked against its group's first.
+#: Rows the csv reader checks together: one bad row sends a batch through
+#: the row-by-row checks that name it.
+_BATCH_ROWS = 512
+#: Odd multiplier of the id hash (Fibonacci hashing): any value gives the
+#: same result, since every id is checked against its group and a group of
+#: distinct ids is split.
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 #: ``_KEEP[k]`` keeps the first k bytes of a little-endian 8-byte word,
 #: ``_LAST[k]`` its last k bytes, and ``_ZEROS[k]`` fills the rest with "0".
@@ -163,12 +166,12 @@ _ZEROS = np.uint64(0x3030303030303030) & _KEEP[::-1]
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 
 
-def _intern(values):
-    """Int32 code of each value, and the distinct values in order of
-    appearance that the codes index."""
-    table = dict.fromkeys(values)
-    table.update(zip(table, itertools.count()))
-    return np.fromiter(map(table.__getitem__, values), np.int32, len(values)), list(table)
+def _intern(values, table: dict) -> np.ndarray:
+    """Int32 code of each value in `table` (name -> code), which first
+    takes the names it does not hold yet, in order of appearance."""
+    fresh = itertools.filterfalse(table.__contains__, dict.fromkeys(values))
+    table.update(zip(fresh, itertools.count(len(table))))
+    return np.fromiter(map(table.__getitem__, values), np.int32, len(values))
 
 
 def _compact(codes: np.ndarray, names: np.ndarray):
@@ -216,8 +219,12 @@ def build_trace(
     timestamp when `window_length` is not given (at least 1 ms so the
     window stays valid for empty or single-instant traces).
     """
-    users = (None, None) if users is None else _intern(users)
-    return _make_trace(timestamps, *_intern(docs), *users, window_length)
+    doc_table, user_table = {}, {}
+    doc_codes = _intern(docs, doc_table)
+    user_codes = None if users is None else _intern(users, user_table)
+    # a copy: the caller's array must not change the Trace later
+    return _make_trace(np.array(timestamps, dtype=np.int64), doc_codes, list(doc_table),
+                       user_codes, list(user_table), window_length)
 
 
 def parse_trace(reader, window_length: Optional[int] = None) -> Trace:
@@ -316,45 +323,77 @@ def _assemble(ts, columns, lines, error, window_length: Optional[int]) -> Trace:
 def _tokenize(data: bytes):
     """The rows of `data` by the stdlib csv reader, up to the first bad
     one, as :func:`_assemble` takes them. Ids keep their bytes, undecodable
-    ones included."""
-    rows = csv.reader(io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogateescape",
-                                       newline=""))
-    expected = _check_header(next(rows))
-    stamps, lines, docs, users = array("q"), array("q"), array("i"), array("i")
-    doc_table, user_table, error, line = {}, {}, None, 1
+    ones included. Rows are checked and interned a batch at a time."""
+    reader = csv.reader(io.StringIO(data.decode("utf-8", "surrogateescape"), newline=""))
+    expected = _check_header(next(reader))
+    rows, tables = _rows(reader), [{} for _ in range(expected - 1)]
+    parts = [[np.zeros(0, np.int64)], [np.zeros(0, np.int64)]] + [[np.zeros(0, np.int32)]
+                                                                 for _ in tables]
+    line, error = 2, None
+    while error is None:
+        batch = list(itertools.islice(rows, _BATCH_ROWS))
+        if not batch:
+            break
+        lines = np.arange(line, line + len(batch))
+        line += len(batch)
+        if isinstance(batch[-1], csv.Error):  # a field beyond the csv module's size limit
+            error = TraceParseError(str(batch.pop()), line=int(lines[-1]))
+            lines = lines[:-1]
+        if not all(batch):  # blank rows are skipped
+            lines = lines[list(map(bool, batch))]
+            batch = list(filter(None, batch))
+        fields = _batch_fields(batch, expected)
+        if fields is None:  # name the first bad row, and keep the rows before it
+            errors = map(_row_error, batch, itertools.repeat(expected), lines.tolist())
+            good, error = next((n, e) for n, e in enumerate(errors) if e is not None)
+            batch, lines = batch[:good], lines[:good]
+            fields = _batch_fields(batch, expected)
+        parts[0].append(fields[0])
+        parts[1].append(lines)
+        for table, ids, part in zip(tables, fields[1:], parts[2:]):
+            part.append(_intern(ids, table))
+    ts, lines, *codes = map(np.concatenate, parts)
+    columns = [(out, [name.encode("utf-8", "surrogateescape") for name in table])
+               for out, table in zip(codes, tables)]
+    return ts, columns, lines, error
+
+
+def _rows(reader):
+    """The rows of a csv `reader`, then the error that stopped it, if any."""
     try:
-        for line, row in enumerate(rows, start=2):
-            if row:
-                stamps.append(_row_timestamp(row, expected, line))
-                lines.append(line)
-                docs.append(doc_table.setdefault(row[1], len(doc_table)))
-                if expected == 3:
-                    users.append(user_table.setdefault(row[2], len(user_table)))
-    except TraceParseError as exc:
-        error = exc
-    except csv.Error as exc:  # a field beyond the csv module's size limit
-        error = TraceParseError(str(exc), line=line + 1)
-    columns = [(np.frombuffer(codes, np.int32),
-                [name.encode("utf-8", "surrogateescape") for name in table])
-               for codes, table in ((docs, doc_table), (users, user_table))[: expected - 1]]
-    return np.frombuffer(stamps, np.int64), columns, np.frombuffer(lines, np.int64), error
+        yield from reader
+    except csv.Error as exc:
+        yield exc
 
 
-def _row_timestamp(row, expected: int, line: int) -> int:
-    """The timestamp of a csv `row`, checked with the rest of the row."""
+def _batch_fields(rows: list, expected: int):
+    """The timestamps and id fields of the csv `rows`, none blank, when
+    every row passes the checks of :func:`_row_error`, else None."""
+    try:
+        fields = list(zip(*rows, strict=True)) or [()] * expected  # unequal rows raise
+        ts = np.fromiter(map(int, fields[0]), np.int64, len(rows))
+    except (ValueError, OverflowError):
+        return None
+    if len(fields) != expected or len(rows) and (ts.min() < 0 or not all(fields[1])):
+        return None
+    return ts, *fields[1:]
+
+
+def _row_error(row, expected: int, line: int) -> Optional[TraceParseError]:
+    """What is wrong with a csv `row` on `line`, or None."""
     if len(row) != expected:
-        raise TraceParseError(f"expected {expected} fields, got {len(row)}", line=line)
+        return TraceParseError(f"expected {expected} fields, got {len(row)}", line=line)
     try:
         ts = int(row[0])
     except ValueError:
-        raise TraceParseError(f"non-integer timestamp {row[0]!r}", line=line) from None
+        return TraceParseError(f"non-integer timestamp {row[0]!r}", line=line)
     if ts < 0:
-        raise TraceParseError(f"negative timestamp {ts}", line=line)
+        return TraceParseError(f"negative timestamp {ts}", line=line)
     if ts >= 1 << 63:
-        raise TraceParseError(f"timestamp {ts} beyond int64", line=line)
+        return TraceParseError(f"timestamp {ts} beyond int64", line=line)
     if not row[1]:
-        raise TraceParseError("empty doc_id", line=line)
-    return ts
+        return TraceParseError("empty doc_id", line=line)
+    return None
 
 
 def _scan(data: bytes):
@@ -407,15 +446,11 @@ def _scan(data: bytes):
         n = len(block_ts)
         ts[row:row + n] = block_ts
         for column, out, group in zip(range(1, expected), codes, groups):
-            found = _group_ids(words, starts[:, column], ends[:, column])
-            if found is None:
-                return None
+            found = _group_ids(data, words, starts[:, column], ends[:, column])
             out[row:row + n] = found[0] + sum(len(s) for s, _ in group)  # after earlier groups
             group.append(found[1:])
         row, pos = row + n, stop
     tables = [_name_table(data, words, out, group) for out, group in zip(codes, groups)]
-    if None in tables:
-        return None
     return ts, list(zip(codes, tables)), None, None
 
 
@@ -445,11 +480,12 @@ def _word(words: np.ndarray, at: np.ndarray, left: np.ndarray) -> np.ndarray:
     return words[top] >> ((at - top) * 8).astype(np.uint64) & _KEEP[np.minimum(left, 8)]
 
 
-def _group_ids(words: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """Group the ids ``data[starts:ends]`` by a hash of their bytes, and
-    check each byte for byte against the first of its group. Returns the
-    group of each id, and where the first id of each group starts and
-    ends; None when two distinct ids share a hash."""
+def _group_ids(data: bytes, words: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Group the ids ``data[starts:ends]`` by the high bits of a hash of
+    their bytes, and check each byte for byte against one id of its group.
+    A group whose ids differ (distinct ids whose hashes share those bits)
+    is split by their bytes. Returns the group of each id, and where one id
+    of each group starts and ends."""
     lengths, chunks = ends - starts, []
     key, shortest = lengths.astype(np.uint64), lengths.min(initial=2**62)
     for at in range(0, int(lengths.max(initial=0)), 8):
@@ -470,23 +506,27 @@ def _group_ids(words: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     group = np.empty(len(key), np.intp)
     group[order] = np.cumsum(new) - 1
     twin = first[group]
-    if (lengths[twin] != lengths).any() or any(
-            (word != (word[twin] if isinstance(rows, slice) else
-                      _word(words, starts[twin[rows]] + at, lengths[rows] - at))).any()
-            for at, rows, word in chunks):
-        return None
+    differ = lengths[twin] != lengths
+    for at, rows, word in chunks:
+        if isinstance(rows, slice):
+            differ |= word != word[twin]
+        else:
+            differ[rows] |= word != _word(words, starts[twin[rows]] + at, lengths[rows] - at)
+    if differ.any():
+        rows = np.flatnonzero(np.isin(group, group[differ]))
+        split = _intern([data[lo:hi] for lo, hi in zip(starts[rows].tolist(),
+                                                       ends[rows].tolist())], {})
+        group[rows] = len(first) + split
+        first = np.append(first, rows[np.unique(split, return_index=True)[1]])
     return group, starts[first], ends[first]
 
 
 def _name_table(data: bytes, words: np.ndarray, codes: np.ndarray, blocks: list):
     """The distinct ids of one column, given where one id of each group of
     each block (`blocks`) starts and ends, with the `codes` that index
-    those groups recoded in place to index the result; None on a hash
-    collision."""
-    found = _group_ids(words, *(np.concatenate(part) for part in zip(*blocks)))
-    if found is None:
-        return None
-    recode, starts, ends = found
+    those groups recoded in place to index the result."""
+    recode, starts, ends = _group_ids(data, words,
+                                      *(np.concatenate(part) for part in zip(*blocks)))
     for lo in range(0, len(codes), _BLOCK_BYTES):  # no index copy of the whole column
         codes[lo:lo + _BLOCK_BYTES] = recode[codes[lo:lo + _BLOCK_BYTES]]
     return list(map(data.__getitem__, map(slice, starts.tolist(), ends.tolist())))
@@ -496,63 +536,63 @@ def serialize_trace(trace: Trace, writer) -> None:
     """Write a trace as CSV, the inverse of :func:`parse_trace`.
 
     Emits the ``user_id`` column only when the trace carries users. Each
-    distinct id is formatted once, by the stdlib ``csv`` writer unless no
-    id of its column needs quoting; the rows are then laid out as byte
-    arrays, a block at a time.
+    id column's table is formatted once by the stdlib ``csv`` writer; the
+    rows are then gathered from those bytes, a block at a time.
     """
-    columns = [(trace.docs, trace.doc_names.tolist())]
+    columns = [(trace.docs, trace.doc_names)]
     if trace.users is not None:
-        columns.append((trace.users, trace.user_names.tolist()))
-    texts = [",".join(map(str, names)) for _, names in columns]
+        columns.append((trace.users, trace.user_names))
     # the writer quotes an id holding "\n" but not one holding a lone "\r"
-    carriage = any("\r" in text for text in texts)
+    carriage = any("\r" in ",".join(map(str, names)) for _, names in columns)
     quoting = csv.QUOTE_NONNUMERIC if carriage else csv.QUOTE_MINIMAL
     out = csv.writer(writer, lineterminator="\n", quoting=quoting)
     out.writerow(["timestamp_ms", "doc_id", "user_id"][: len(columns) + 1])
-    # a writer whose file returns each row it is given, as text
+    # per column one row "0," + its ids + "\n", each id as the writer puts it within a row
     fields = csv.writer(SimpleNamespace(write=str), lineterminator="\n", quoting=quoting)
-    tables = []
-    for (codes, names), text in zip(columns, texts):
-        if (names and not carriage and text.count(",") == len(names) - 1
-                and '"' not in text and "\n" not in text and set(map(type, names)) == {str}):
-            # QUOTE_MINIMAL writes a string with no delimiter, quote or newline as it is
-            cells = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
-            lengths = np.diff(np.flatnonzero(np.append(cells, 44) == 44), prepend=-1) - 1
-            cells = cells[cells != 44]
-        else:  # "0," + field + "\n": each field as the writer puts it within a row
-            cells = [row[2:-1].encode("utf-8", "surrogatepass")
-                     for row in map(fields.writerow, zip(itertools.repeat(0), names))]
-            lengths = np.fromiter(map(len, cells), np.int64, len(cells))
-            cells = np.frombuffer(b"".join(cells), np.uint8)
-        used = np.arange(lengths.max(initial=0)) < lengths[:, None]
-        table = np.zeros(used.shape, np.uint8)
-        table[used] = cells
-        tables.append((codes, table, lengths))
+    texts = [fields.writerow([0, *names]).encode("utf-8", "surrogatepass") for _, names in columns]
+    tables, offset = [], 1  # where each id starts in the source, and its length
+    for (codes, _), text in zip(columns, texts):
+        text = np.frombuffer(text, np.uint8)
+        # an id is "," + field: from a comma outside quotes to the next, or to the "\n"
+        first = np.flatnonzero((text == 44) & ~np.logical_xor.accumulate(text == 34))
+        tables.append((codes, first + offset, np.diff(first, append=len(text) - 1)))
+        offset += len(text)
     ts = trace.timestamps
     width = len(str(ts.max(initial=0)))
-    row_bytes = width + 1 + sum(table.shape[1] + 1 for _, table, _ in tables)
-    step = max(1, _BLOCK_BYTES // row_bytes)
+    # blocks of rows that hold about _BLOCK_BYTES on average
+    total = len(ts) * (width + 1)
+    for codes, _, size in tables:
+        for lo in range(0, len(codes), _BLOCK_BYTES // 8):  # no copy of the whole column
+            total += int(size[codes[lo:lo + _BLOCK_BYTES // 8]].sum())
+    step = max(1, len(ts) * _BLOCK_BYTES // max(total, 1))
+    # the source of every byte written: "\n", the ids, and a block's timestamp digits
+    source = np.frombuffer(bytearray().join([b"\n", *texts, bytes(step * width)]), np.uint8)
+    digits = source[offset:].reshape(step, width)
     for lo in range(0, len(ts), step):
-        # one fixed-width row of cells per request, and which cells it uses
-        rest = ts[lo:lo + step]
-        cells = np.empty((len(rest), row_bytes), np.uint8)
-        used = np.ones(cells.shape, bool)
-        digits = np.searchsorted(_POW10[1:], rest, side="right") + 1
-        used[:, :width] = np.arange(width) >= width - digits[:, None]
-        for col in range(width - 1, -1, -1):  # digits right-aligned
-            rest, digit = np.divmod(rest, 10)
-            cells[:, col] = digit + 48
-        col = width
-        for codes, table, lengths in tables:
-            block = codes[lo:lo + step]
-            cells[:, col] = 44
-            col += 1
-            cells[:, col:col + table.shape[1]] = table[block]
-            used[:, col:col + table.shape[1]] = (
-                np.arange(table.shape[1]) < lengths[block][:, None])
-            col += table.shape[1]
-        cells[:, col] = 10
-        writer.write(cells[used].tobytes().decode("utf-8", "surrogatepass"))
+        stamps = ts[lo:lo + step]
+        n = len(stamps)
+        count = np.searchsorted(_POW10[1:], stamps, side="right") + 1
+        for col in range(width - 1, -1, -1):  # right-aligned
+            stamps, digit = np.divmod(stamps, 10)
+            digits[:n, col] = digit + 48
+        # each row in pieces: its timestamp's digits, "," and each id, "\n"
+        rows = [(first[codes[lo:lo + step]], size[codes[lo:lo + step]])
+                for codes, first, size in tables]
+        starts = np.column_stack([offset + np.arange(1, n + 1) * width - count]
+                                 + [first for first, _ in rows] + [np.zeros(n, np.int64)])
+        sizes = np.column_stack([count] + [size for _, size in rows] + [np.ones(n, np.int64)])
+        cells = source[_ranges(starts.ravel(), sizes.ravel())]
+        writer.write(cells.tobytes().decode("utf-8", "surrogatepass"))
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices ``starts[i]`` up to ``starts[i] + lengths[i]``, for
+    each i in turn, every length positive: one array of steps of 1, with
+    a jump where each range begins, summed in place."""
+    index = np.ones(lengths.sum(), np.int64)
+    index[0] = starts[0]
+    index[np.cumsum(lengths[:-1])] = starts[1:] - starts[:-1] - lengths[:-1] + 1
+    return np.cumsum(index, out=index)
 
 
 def consolidate_sessions(

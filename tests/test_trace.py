@@ -1,4 +1,6 @@
 import io
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -265,17 +267,45 @@ def test_small_blocks_change_nothing(monkeypatch, rng):
     assert again.getvalue() == buf.getvalue()
 
 
-def test_hash_collision_falls_back_to_csv(monkeypatch):
+def test_hash_collision_splits_group(monkeypatch):
     # with a multiplier of 0 every id hashes alike: the byte scan finds
-    # distinct ids in one group and leaves the file to the csv reader
-    data = b"timestamp_ms,doc_id,user_id\n3,bb,u\n1,a,u\n2,a\x00,v\n"
+    # distinct ids in one group and splits it by their bytes, in each block
+    # and again when the blocks' tables are merged
+    data = b"timestamp_ms,doc_id,user_id\n3,bb,u\n1,a,u\n2,a\x00,v\n4,a,w\n5,bb,v\n"
     expected = parse_trace(io.BytesIO(data))
     monkeypatch.setattr(trace_module, "_MIX", np.uint64(0))
-    assert trace_module._scan(data) is None
+    monkeypatch.setattr(trace_module, "_BLOCK_BYTES", 16)
+    assert trace_module._scan(data) is not None
     got = parse_trace(io.BytesIO(data))
     for field in ("timestamps", "docs", "doc_names", "users", "user_names"):
         assert getattr(got, field).tolist() == getattr(expected, field).tolist()
-    assert list(doc_ids(got)) == ["a", "a\x00", "bb"]
+    assert list(doc_ids(got)) == ["a", "a\x00", "bb", "a", "bb"]
+
+
+def test_serialize_memory_follows_bytes_written():
+    # one long id among many short ones: the serializer's working memory
+    # follows the bytes it writes, not the names times the longest id
+    long_id = "x" * 100_000  # within the csv module's field limit
+    docs = [f"d{i % 2000}" for i in range(20_000)] + [long_id]
+    tr = build_trace(range(len(docs)), docs)
+    chunks = []
+    tracemalloc.start()
+    try:
+        serialize_trace(tr, SimpleNamespace(write=chunks.append))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    back = parse_trace(io.StringIO("".join(chunks)))
+    assert back.timestamps.tolist() == tr.timestamps.tolist()
+    assert doc_ids(back).tolist() == docs
+
+
+def test_build_trace_copies_timestamps():
+    ts = np.array([0, 1, 2], dtype=np.int64)
+    tr = build_trace(ts, ["a", "b", "a"])
+    ts[0] = 5
+    assert tr.timestamps.tolist() == [0, 1, 2]
 
 
 def test_trace_checks_its_id_invariant():
