@@ -559,12 +559,13 @@ def serialize_trace(trace: Trace, writer) -> None:
         offset += len(text)
     ts = trace.timestamps
     width = len(str(ts.max(initial=0)))
-    # blocks of rows that hold about _BLOCK_BYTES on average
+    # blocks of rows that hold a quarter of _BLOCK_BYTES on average, as the
+    # indices that gather a block take 16 bytes per byte written
     total = len(ts) * (width + 1)
     for codes, _, size in tables:
         for lo in range(0, len(codes), _BLOCK_BYTES // 8):  # no copy of the whole column
             total += int(size[codes[lo:lo + _BLOCK_BYTES // 8]].sum())
-    step = max(1, len(ts) * _BLOCK_BYTES // max(total, 1))
+    step = max(1, len(ts) * (_BLOCK_BYTES // 4) // max(total, 1))
     # the source of every byte written: "\n", the ids, and a block's timestamp digits
     source = np.frombuffer(bytearray().join([b"\n", *texts, bytes(step * width)]), np.uint8)
     digits = source[offset:].reshape(step, width)
@@ -587,12 +588,11 @@ def serialize_trace(trace: Trace, writer) -> None:
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The indices ``starts[i]`` up to ``starts[i] + lengths[i]``, for
-    each i in turn, every length positive: one array of steps of 1, with
-    a jump where each range begins, summed in place."""
-    index = np.ones(lengths.sum(), np.int64)
-    index[0] = starts[0]
-    index[np.cumsum(lengths[:-1])] = starts[1:] - starts[:-1] - lengths[:-1] + 1
-    return np.cumsum(index, out=index)
+    each i in turn."""
+    ends = np.cumsum(lengths)
+    index = np.repeat(starts - ends + lengths, lengths)
+    index += np.arange(len(index))
+    return index
 
 
 def consolidate_sessions(
