@@ -7,7 +7,7 @@ document popularities (an extension of the Che approximation), validated
 against simulation on synthetic traces.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .trace import (
     ObservationWindow,

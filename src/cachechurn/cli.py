@@ -10,8 +10,9 @@ Data outputs are CSV/JSON files; human-readable diagnostics go to stderr.
 Every file-writing run also emits a `<out>.manifest.json` recording the
 exact invocation, sufficient to reproduce the outputs bit-identically.
 
-Exit codes: 0 success, 1 validation failure, 2 usage error, 3 I/O or
-parse error.
+Exit codes: 0 success, 1 validation failure (only `validate`'s z-test),
+2 usage error, 3 I/O, parse or input error (an input the library rejects,
+such as a trace with no requests).
 """
 
 from __future__ import annotations
@@ -30,10 +31,8 @@ from .boxmodel import box_hit_ratio_curve, irm_che_curve, box_working_set
 from .estimators import build_joint_sample, estimate_catalog_rate, rank_frequency
 from .lrusim import _rounded_sizes, check_cache_sizes, hit_ratio_curve, write_curve_csv
 from .shuffle import RANDOMIZATION_KINDS, randomize, run_semi_experiments
-from .synth import (
-    ConfigParseError, GeneratorConfig, generate_box_trace, monte_carlo_distinct_docs,
-)
-from .trace import TraceParseError, consolidate_sessions, parse_trace, serialize_trace, trace_stats
+from .synth import GeneratorConfig, generate_box_trace, monte_carlo_distinct_docs
+from .trace import consolidate_sessions, parse_trace, serialize_trace, trace_stats
 
 __all__ = ["main"]
 
@@ -367,12 +366,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, TraceParseError, ConfigParseError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: the library found the input unusable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from typing import Dict, Sequence, Union
 
 import numpy as np
 
-from .trace import Trace
+from .trace import Trace, _stable_order
 
 __all__ = [
     "StackDistanceProfile",
@@ -148,7 +148,7 @@ def stack_distances(trace: Trace) -> StackDistanceProfile:
     """
     m = len(trace)
     idx = np.int32 if m < 2**31 else np.int64
-    order = np.argsort(trace.docs, kind="stable").astype(idx)
+    order = _stable_order(trace.docs).astype(idx)
     codes = trace.docs[order]
     prev = order[:-1] + 1  # candidate v of the request that follows in `order`
     prev *= codes[1:] == codes[:-1]

@@ -13,18 +13,23 @@ curve measures how much that structure matters:
   requests are redrawn i.i.d. uniformly in between, erasing within-
   document structure while preserving per-document count, first and last
   times (and hence the lifespan/rate estimators).
+
+Each randomization makes a few whole-array draws from one stream per
+(seed, kind), in canonical order: by document code (name order), then by
+time. So rows of different documents at one instant may come in any
+order. Seeded outputs changed at 0.2.0, which replaced one stream per
+document.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
 import numpy as np
 
 from .lrusim import HitRatioCurve, hit_ratio_curve, mare
-from .trace import Trace, _make_trace
+from .trace import Trace, _make_trace, _stable_order
 
 __all__ = [
     "RANDOMIZATION_KINDS",
@@ -38,32 +43,21 @@ __all__ = [
 
 RANDOMIZATION_KINDS = ("global", "positional", "local")
 
-_KIND_CODE = {kind: i for i, kind in enumerate(RANDOMIZATION_KINDS)}
+
+def _canonical(trace: Trace, kind: str, seed: int):
+    """The one stream of a randomization, the timestamps and user codes in
+    canonical order, and each document's request count."""
+    rng = np.random.default_rng([seed, RANDOMIZATION_KINDS.index(kind)])
+    order = _stable_order(trace.docs)
+    users = None if trace.users is None else trace.users[order]
+    counts = np.bincount(trace.docs, minlength=len(trace.doc_names))
+    return rng, trace.timestamps[order], users, counts
 
 
-def _doc_rng(seed: int, kind: str, doc: str) -> np.random.Generator:
-    """Per-document random stream, stable under document iteration order.
-
-    Mixes the root seed, the randomization kind and a stable 64-bit hash
-    of the document identifier, so parallel and serial execution (and any
-    grouping order) produce identical traces.
-    """
-    digest = hashlib.blake2b(doc.encode("utf-8"), digest_size=8).digest()
-    entropy = [seed, _KIND_CODE[kind], int.from_bytes(digest, "little")]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-def _doc_groups(trace: Trace):
-    """Each document's name and the indices of its requests, in time
-    order, documents in name order."""
-    order = np.argsort(trace.docs, kind="stable")  # groups, time order within
-    ends = np.cumsum(np.bincount(trace.docs, minlength=len(trace.doc_names)))
-    return zip(trace.doc_names, np.split(order, ends[:-1]))
-
-
-def _rebuild(trace: Trace, new_ts: np.ndarray) -> Trace:
-    return _make_trace(new_ts, trace.docs, trace.doc_names, trace.users,
-                       trace.user_names, trace.window.length)
+def _rebuild(trace: Trace, new_ts: np.ndarray, users, counts: np.ndarray) -> Trace:
+    """The trace of the requests in canonical order, re-timed to `new_ts`."""
+    docs = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+    return _make_trace(new_ts, docs, trace.doc_names, users, trace.user_names, trace.window.length)
 
 
 def randomize_global(trace: Trace, seed: int) -> Trace:
@@ -72,12 +66,9 @@ def randomize_global(trace: Trace, seed: int) -> Trace:
     Preserves document identities and per-document request counts;
     endpoints are inclusive. Deterministic for a fixed seed.
     """
-    window = trace.window.length
-    new_ts = trace.timestamps.copy()
-    for doc, idx in _doc_groups(trace):
-        rng = _doc_rng(seed, "global", doc)
-        new_ts[idx] = rng.integers(0, window + 1, size=len(idx))
-    return _rebuild(trace, new_ts)
+    rng, ts, users, counts = _canonical(trace, "global", seed)
+    ts = rng.integers(0, trace.window.length, size=len(ts), endpoint=True)
+    return _rebuild(trace, ts, users, counts)
 
 
 def randomize_positional(trace: Trace, seed: int) -> Trace:
@@ -88,15 +79,12 @@ def randomize_positional(trace: Trace, seed: int) -> Trace:
     keep the block inside the window (a block spanning the full window
     cannot move).
     """
-    window = trace.window.length
-    new_ts = trace.timestamps.copy()
-    for doc, idx in _doc_groups(trace):
-        rng = _doc_rng(seed, "positional", doc)
-        ts = trace.timestamps[idx]
-        span = int(ts[-1] - ts[0])
-        start = int(rng.integers(0, window - span + 1))
-        new_ts[idx] = start + (ts - ts[0])
-    return _rebuild(trace, new_ts)
+    rng, ts, users, counts = _canonical(trace, "positional", seed)
+    ends = np.cumsum(counts)
+    first = ts[ends - counts]
+    start = rng.integers(0, trace.window.length - (ts[ends - 1] - first), endpoint=True)
+    ts += np.repeat(start - first, counts)
+    return _rebuild(trace, ts, users, counts)
 
 
 def randomize_local(trace: Trace, seed: int) -> Trace:
@@ -106,20 +94,28 @@ def randomize_local(trace: Trace, seed: int) -> Trace:
     redrawn i.i.d. uniformly (inclusive endpoints) on that range.
     Documents with at most two requests, or with a zero-length span, are
     left unchanged. Preserves per-document (count, first, last) and
-    therefore the lifespan/rate estimates.
+    therefore the lifespan/rate estimates. The i-th request of a document
+    takes the i-th of its new times, so its users keep their order.
     """
-    new_ts = trace.timestamps.copy()
-    for doc, idx in _doc_groups(trace):
-        if len(idx) <= 2:
-            continue
-        ts = trace.timestamps[idx]
-        first, last = int(ts[0]), int(ts[-1])
-        if first == last:
-            continue
-        rng = _doc_rng(seed, "local", doc)
-        interior = rng.integers(first, last + 1, size=len(idx) - 2)
-        new_ts[idx] = np.concatenate(([first], np.sort(interior), [last]))
-    return _rebuild(trace, new_ts)
+    rng, ts, users, counts = _canonical(trace, "local", seed)
+    ends = np.cumsum(counts)
+    first, last = ts[ends - counts], ts[ends - 1]
+    spans = last - first
+    interior = np.where((counts > 2) & (spans > 0), counts - 2, 0)
+    inner = np.repeat(interior > 0, counts)
+    inner[ends - counts] = inner[ends - 1] = False
+    ts[inner] = rng.integers(np.repeat(first, interior), np.repeat(last, interior),
+                             endpoint=True)
+    # each document's times lie in [first, last]: moved past the documents
+    # before it, they sort by document and then by time, in one np.sort
+    if sum(spans.tolist()) + len(spans) < 2**63:
+        shift = np.cumsum(spans + 1) - spans - 1 - first
+        ts += np.repeat(shift, counts)
+        ts.sort()
+        ts -= np.repeat(shift, counts)
+    else:  # too wide for one int64 key
+        ts = ts[np.lexsort((ts, np.repeat(np.arange(len(counts)), counts)))]
+    return _rebuild(trace, ts, users, counts)
 
 
 _RANDOMIZERS = {
@@ -131,11 +127,9 @@ _RANDOMIZERS = {
 
 def randomize(trace: Trace, kind: str, seed: int) -> Trace:
     """Apply one randomization by name; see :data:`RANDOMIZATION_KINDS`."""
-    try:
-        fn = _RANDOMIZERS[kind]
-    except KeyError:
+    if kind not in _RANDOMIZERS:
         raise ValueError(f"unknown randomization kind {kind!r}")
-    return fn(trace, seed)
+    return _RANDOMIZERS[kind](trace, seed)
 
 
 @dataclass(frozen=True)
@@ -162,7 +156,7 @@ def run_semi_experiments(
     sizes : sequence of int
         Shared cache-size grid, positive strictly ascending.
     seed : int
-        Root seed; each randomization derives its own streams.
+        Root seed; each randomization derives its own stream.
 
     Returns
     -------

@@ -188,6 +188,24 @@ def _compact(codes: np.ndarray, names: np.ndarray):
     return recode[codes], kept[order]
 
 
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """The permutation that sorts integer `keys` stably, by one sort of
+    distinct uint64 words, each key less the least above its index (faster
+    than numpy's stable sort); keys too wide are replaced by their rank."""
+    n, bits = len(keys), max(len(keys) - 1, 1).bit_length()
+    low, high = (int(keys.min()), int(keys.max())) if n else (0, 0)
+    if (high - low).bit_length() + bits > 64:
+        keys, low = np.unique(keys, return_inverse=True)[1], 0
+    words = keys.astype(np.uint64)  # a negative key wraps, and the difference wraps back
+    words -= np.uint64(low % 2**64)
+    words <<= np.uint64(bits)
+    for lo in range(0, n, _BLOCK_BYTES):  # no full-length index temporary
+        words[lo:lo + _BLOCK_BYTES] |= np.arange(lo, min(lo + _BLOCK_BYTES, n), dtype=np.uint64)
+    words.sort()
+    words &= np.uint64((1 << bits) - 1)
+    return words.view(np.int64)
+
+
 def _make_trace(
     timestamps, docs, doc_names, users=None, user_names=None, window_length=None
 ) -> Trace:
@@ -197,8 +215,9 @@ def _make_trace(
     order. Every Trace is built here."""
     ts = np.asarray(timestamps, dtype=np.int64)
     if (ts[1:] < ts[:-1]).any():  # else already in order, and no copies are made
-        order = np.argsort(ts, kind="stable")
+        order = _stable_order(ts)
         ts, docs, users = ts[order], docs[order], None if users is None else users[order]
+        del order  # before the recoding, which copies each id column
     if window_length is None:
         window_length = max(int(ts[-1]) if len(ts) else 0, 1)
     docs, doc_names = _compact(docs, doc_names)
@@ -628,7 +647,7 @@ def consolidate_sessions(
     if gap_threshold <= 0:
         raise ValueError("gap_threshold must be positive")
     pair = trace.users.astype(np.int64) * len(trace.doc_names) + trace.docs
-    order = np.argsort(pair, kind="stable")  # pairs, time order within
+    order = _stable_order(pair)  # pairs, time order within
     pair = pair[order]
     keep = np.ones(len(trace), dtype=bool)
     keep[order[1:]] = (pair[1:] != pair[:-1]) | (

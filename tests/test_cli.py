@@ -65,10 +65,26 @@ def test_simulate_bad_sizes_usage_error(trace_file, tmp_path, capsys):
 
 
 def test_simulate_empty_trace_is_validation_error(tmp_path, capsys):
+    # an input the library rejects is an input error (3), not a failed validation
     path = tmp_path / "empty.csv"
     path.write_text("timestamp_ms,doc_id\n")
     code = main(["simulate", str(path), "--out", str(tmp_path / "o")])
-    assert code == 1
+    assert code == 3
+    assert "hit ratio undefined for an empty trace" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["shuffle", "--kind", "all"], "semi-experiments require a non-empty trace"),
+    (["predict", "--method", "box"], "no estimable documents"),
+    (["predict", "--method", "classic"], "doc_counts must be positive"),
+])
+def test_header_only_trace_is_input_error(tmp_path, capsys, argv, message):
+    path = tmp_path / "empty.csv"
+    path.write_text("timestamp_ms,doc_id\n")
+    assert main(argv[:1] + [str(path)] + argv[1:] + ["--out", str(tmp_path / "o")]) == 3
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_simulate_non_utf8_trace_is_parse_error(tmp_path, capsys):
@@ -187,8 +203,9 @@ def test_predict_box_without_estimable_docs(tmp_path, capsys):
     path = tmp_path / "singles.csv"
     path.write_text("timestamp_ms,doc_id\n0,a\n5,b\n9,c\n")
     code = main(["predict", str(path), "--method", "box", "--out", str(tmp_path / "o")])
-    assert code == 1
+    assert code == 3
     assert "no estimable documents" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_predict_box_meta_and_shared_grid(tmp_path):

@@ -5,7 +5,9 @@ were recorded from the tree before the batched characteristic-time
 inverter; a change that alters an output on purpose re-records the
 digest and says why in CHANGES.md. The user-column digests lock session
 consolidation, user ids and CSV quoting; they were recorded from the tree
-before document and user ids were interned.
+before document and user ids were interned. The three shuffle digests were
+re-recorded at version 0.2.0, when each randomization became whole-array
+draws from one stream.
 """
 
 import csv
@@ -45,12 +47,12 @@ GOLDEN = {
         "a9ecdc2860177cb9f45f47d3c364a8a9"
     ),
     "shuffle_all": (
-        "d8b4434616da0c0edea4d3b3a9f12bb9"
-        "e8ed2dca510c37297e8b969285e62eaa"
+        "3a587ed82a7a42a51bd4e584249d2261"
+        "0c1ff04628eb53e7d227325503ae61fe"
     ),
     "shuffle_local": (
-        "e1d405dd927eb37d55a8c9ccd8fb0ce3"
-        "8c8a23822667965344c42b680d924b85"
+        "afde2f22d470273f608084ed7aeed3e7"
+        "b82f679221951b5062350b85736ccf17"
     ),
     "validate": (
         "59c8bbdabea327017efa85aadefff37a"
@@ -107,8 +109,8 @@ GOLDEN_USERS = {
         "21c295081395f481b8bc49aaf53e5c69"
     ),
     "shuffle_local_gap": (
-        "8e6766ba5a47c9f2668ee537caa781d0"
-        "bda5d60ba463715079416b3183efe0ce"
+        "9eaced5f8ef4d73cf09a42fc0a810945"
+        "c0d0c0744ee680b3dfe6a17e1a5027c0"
     ),
     "predict_box_gap": (
         "b5df83e9803140a3bbdc3e5c0ea0d507"

@@ -1,8 +1,8 @@
 """Property tests: the batched characteristic-time inverter and the bounds
 of the predicted hit-ratio curve; exact stack distances, the CSV round
 trip, the two CSV tokenizers and the serializer against the stdlib csv
-module, session consolidation and the randomization invariants of the
-trace layer."""
+module, session consolidation, the packed-key stable sort and the
+randomization invariants of the trace layer."""
 
 import csv
 import io
@@ -246,6 +246,27 @@ def test_consolidation_matches_dict_loop(triples, gap):
     got = list(zip(out.timestamps.tolist(), doc_ids(out), out.user_names[out.users].tolist()))
     assert got == consolidate_reference(trace, gap)
     assert out.window == trace.window
+
+
+keys_int32 = st.lists(st.one_of(st.integers(0, 20), st.integers(-2**31, 2**31 - 1)),
+                      max_size=200).map(lambda v: np.array(v, dtype=np.int32))
+keys_int64 = st.lists(st.one_of(st.integers(-5, 5), st.integers(-2**40, 2**40)),
+                      max_size=200).map(lambda v: np.array(v, dtype=np.int64))
+# spans this wide leave no room for the index bits: the dense-rank branch
+keys_extreme = st.lists(st.sampled_from([-2**63, -2**63 + 1, -1, 0, 2**62, 2**63 - 1]),
+                        max_size=200).map(lambda v: np.array(v, dtype=np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=st.one_of(keys_int32, keys_int64, keys_extreme))
+@example(keys=np.array([], dtype=np.int64))
+@example(keys=np.array([7], dtype=np.int32))
+@example(keys=np.full(50, -3, dtype=np.int64))
+@example(keys=np.array([2**63 - 1, 0], dtype=np.int64))  # all 64 bits, no rank
+@example(keys=np.array([2**63 - 1, -2**63, 0, 2**63 - 1], dtype=np.int64))  # rank
+def test_stable_order_matches_stable_argsort(keys):
+    order = trace_module._stable_order(keys)
+    assert np.array_equal(order, np.argsort(keys, kind="stable"))
 
 
 def times_by_doc(trace):

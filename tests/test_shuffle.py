@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from cachechurn.estimators import build_joint_sample
 from cachechurn.lrusim import log_size_grid, mare, hit_ratio_curve
 from cachechurn.shuffle import (
+    RANDOMIZATION_KINDS,
+    randomize,
     randomize_global,
     randomize_local,
     randomize_positional,
@@ -52,6 +55,74 @@ def test_deterministic_under_seed(rng, randomize):
     assert np.array_equal(a.doc_names[a.docs], b.doc_names[b.docs])
     c = randomize(tr, seed=43)
     assert not np.array_equal(c.timestamps, a.timestamps)
+
+
+@pytest.mark.parametrize("kind", RANDOMIZATION_KINDS)
+def test_output_does_not_depend_on_input_order(kind):
+    # the same requests, with tied rows of different documents in another
+    # order; every draw follows the documents' names and times, not the rows
+    rng = np.random.default_rng(31)
+    ts = rng.integers(0, 40, 300)
+    docs = [f"d{i}" for i in rng.integers(0, 25, 300)]
+    swapped = np.argsort(ts * 1000 - np.arange(300), kind="stable")  # ties reversed
+    a = build_trace(ts, docs, window_length=60)
+    b = build_trace(ts[swapped], [docs[i] for i in swapped], window_length=60)
+    assert not np.array_equal(a.docs, b.docs)
+    for seed in range(5):
+        out_a, out_b = randomize(a, kind, seed), randomize(b, kind, seed)
+        assert np.array_equal(out_a.timestamps, out_b.timestamps)
+        assert np.array_equal(out_a.doc_names[out_a.docs], out_b.doc_names[out_b.docs])
+
+
+@pytest.mark.parametrize("kind", RANDOMIZATION_KINDS)
+def test_randomization_memory_budget(rng, kind):
+    # whole-array draws keep a few full-length temporaries; at 2**17 requests
+    # with users each randomization, output included, peaks at 41-44 bytes a
+    # request, so the budget fails one that keeps several more alive
+    tr = random_trace(rng, 2**17, 5000, with_users=True)
+    tracemalloc.start()
+    try:
+        randomize(tr, kind, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * len(tr)
+
+
+def doc_users(trace):
+    users = {}
+    for d, u in zip(trace.doc_names[trace.docs], trace.user_names[trace.users]):
+        users.setdefault(d, []).append(u)
+    return users
+
+
+@pytest.mark.parametrize("top", [10**4, 2**63 - 1])
+def test_local_keeps_each_users_rank(rng, top):
+    # the i-th request of a document gets the i-th of its new times, so each
+    # document's users stay in order; at top = 2**63 - 1 the spans sum past
+    # 2**63 and the interiors take the sort's int64-safe path
+    tr = random_trace(rng, 300, 12, window=top, with_users=True)
+    before = doc_users(tr)
+    for seed in range(3):
+        assert doc_users(randomize_local(tr, seed)) == before
+
+
+def test_randomizations_of_int64_wide_spans():
+    # every bound stays within int64 at a window of 2**63 - 1
+    top = 2**63 - 1
+    ts = [0, 5, 2**61, top - 9, 1, 2**62, 2**62 + 1, top, 3, 7, 2**60, top - 1]
+    docs = ["a"] * 4 + ["b"] * 4 + ["c"] * 4
+    tr = build_trace(ts, docs, window_length=top)
+    before = doc_times(tr)
+    for seed in range(3):
+        local = doc_times(randomize_local(tr, seed))
+        for d, times in before.items():
+            assert (local[d][0], local[d][-1]) == (times[0], times[-1])
+            assert len(local[d]) == len(times)
+        positional = doc_times(randomize_positional(tr, seed))
+        assert all(np.diff(positional[d]).tolist() == np.diff(v).tolist()
+                   for d, v in before.items())
+        assert doc_counts(randomize_global(tr, seed)) == doc_counts(tr)
 
 
 def test_global_empty_trace():

@@ -1,0 +1,80 @@
+"""Time the main stages of the pipeline on the acceptance trace.
+
+Builds the acceptance trace in memory (the criterion-2 pool of 4000
+(lambda, tau) pairs drawn with ``default_rng(12345)``, gamma = 1e-3 per
+ms, a 3e7 ms window, generator seed 2024: 2.93 M requests over 30.5 k
+documents) and times, in this one process, each of:
+
+- ``generate_box_trace``: building that trace;
+- ``stack_distances``: one exact LRU pass over it;
+- ``randomize_global``, ``randomize_positional``, ``randomize_local``:
+  each randomization, seed 2024;
+- ``run_semi_experiments``: all three and their four curve passes, on the
+  size grid of 1 % to 40 % of the documents, 20 sizes (``log:305:12188:20``).
+
+Each stage runs ``RUNS`` times. Prints one JSON object: per stage the
+wall times of its runs and their minimum, and ``ru_maxrss_mb``, this
+process's peak RSS after the stage's runs (it only grows, so it is the
+peak of every stage up to that one). The peak of the trace's own build
+counts towards every later stage.
+
+Run from the repository root, with only numpy installed::
+
+    PYTHONPATH=src python3 tools/acceptance_bench.py
+"""
+
+import json
+import resource
+import sys
+import time
+
+import numpy as np
+
+import cachechurn
+from cachechurn.lrusim import stack_distances
+from cachechurn.shuffle import (
+    randomize_global, randomize_local, randomize_positional, run_semi_experiments,
+)
+from cachechurn.synth import GeneratorConfig, generate_box_trace
+
+RUNS = 3
+SEED = 2024
+
+
+def acceptance_config() -> GeneratorConfig:
+    """The criterion-2 generator config of the acceptance trace."""
+    rng = np.random.default_rng(12345)
+    lambdas = 10 ** rng.uniform(np.log10(8e-6), np.log10(8e-4), 4000)
+    taus = 10 ** rng.uniform(np.log10(1.5e5), np.log10(1.5e6), 4000)
+    return GeneratorConfig(1e-3, 3 * 10**7, lambdas, taus)
+
+
+def main() -> dict:
+    stages = {}
+
+    def timed(name, fn, *args):
+        seconds = []
+        for _ in range(RUNS):
+            started = time.perf_counter()
+            out = fn(*args)
+            seconds.append(time.perf_counter() - started)
+            del out
+        stages[name] = {"s": seconds, "min_s": min(seconds),
+                        "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+
+    config = acceptance_config()
+    timed("generate_box_trace", generate_box_trace, config, SEED)
+    trace = generate_box_trace(config, SEED)
+    docs = trace.distinct_docs
+    sizes = np.unique(np.rint(np.geomspace(round(0.01 * docs), round(0.4 * docs), 20)))
+    timed("stack_distances", stack_distances, trace)
+    for fn in (randomize_global, randomize_positional, randomize_local):
+        timed(fn.__name__, fn, trace, SEED)
+    timed("run_semi_experiments", run_semi_experiments, trace, sizes.astype(np.int64), SEED)
+    return {"requests": len(trace), "docs": docs, "runs": RUNS, "stages": stages,
+            "cachechurn": cachechurn.__version__, "numpy": np.__version__,
+            "python": sys.version.split()[0]}
+
+
+if __name__ == "__main__":
+    print(json.dumps(main(), indent=2))

@@ -35,13 +35,11 @@ def write_child(path: str) -> dict:
 
     import numpy as np
 
-    from cachechurn.synth import GeneratorConfig, generate_box_trace
+    from acceptance_bench import acceptance_config
+    from cachechurn.synth import generate_box_trace
     from cachechurn.trace import serialize_trace
 
-    rng = np.random.default_rng(12345)
-    lambdas = 10 ** rng.uniform(np.log10(8e-6), np.log10(8e-4), 4000)
-    taus = 10 ** rng.uniform(np.log10(1.5e5), np.log10(1.5e6), 4000)
-    trace = generate_box_trace(GeneratorConfig(1e-3, 3 * 10**7, lambdas, taus), 2024)
+    trace = generate_box_trace(acceptance_config(), 2024)
 
     def write() -> float:
         started = time.perf_counter()
