@@ -191,7 +191,7 @@ def _compact(codes: np.ndarray, names: np.ndarray):
 def _stable_order(keys: np.ndarray) -> np.ndarray:
     """The permutation that sorts integer `keys` stably, by one sort of
     distinct uint64 words, each key less the least above its index (faster
-    than numpy's stable sort); keys too wide are replaced by their rank."""
+    than numpy's stable sort); wider keys take their rank (below 2**32 keys)."""
     n, bits = len(keys), max(len(keys) - 1, 1).bit_length()
     low, high = (int(keys.min()), int(keys.max())) if n else (0, 0)
     if (high - low).bit_length() + bits > 64:
