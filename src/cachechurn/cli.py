@@ -208,6 +208,10 @@ def _cmd_predict(args, argv) -> int:
         counts = [count for _, count in rank_frequency(trace)]
         curve = irm_che_curve(counts, trace.window.length, sizes)
     else:
+        ts = trace.timestamps
+        if len(ts) and ts[0] == ts[-1]:
+            raise ValueError(f"every request is at {ts[0]} ms: a trace that spans 0 ms has "
+                             "no lifespan or rate for the box model to estimate")
         summary = trace_stats(trace)
         sample = build_joint_sample(trace, args.min_requests)
         gamma_hat = estimate_catalog_rate(summary, trace.window.length)

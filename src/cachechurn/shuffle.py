@@ -44,14 +44,18 @@ __all__ = [
 RANDOMIZATION_KINDS = ("global", "positional", "local")
 
 
+def _stream(kind: str, seed: int) -> np.random.Generator:
+    """The one stream of a randomization."""
+    return np.random.default_rng([seed, RANDOMIZATION_KINDS.index(kind)])
+
+
 def _canonical(trace: Trace, kind: str, seed: int):
-    """The one stream of a randomization, the timestamps and user codes in
+    """The stream of a randomization, the timestamps and user codes in
     canonical order, and each document's request count."""
-    rng = np.random.default_rng([seed, RANDOMIZATION_KINDS.index(kind)])
     order = _stable_order(trace.docs)
     users = None if trace.users is None else trace.users[order]
     counts = np.bincount(trace.docs, minlength=len(trace.doc_names))
-    return rng, trace.timestamps[order], users, counts
+    return _stream(kind, seed), trace.timestamps[order], users, counts
 
 
 def _rebuild(trace: Trace, new_ts: np.ndarray, users, counts: np.ndarray) -> Trace:
@@ -66,8 +70,11 @@ def randomize_global(trace: Trace, seed: int) -> Trace:
     Preserves document identities and per-document request counts;
     endpoints are inclusive. Deterministic for a fixed seed.
     """
-    rng, ts, users, counts = _canonical(trace, "global", seed)
-    ts = rng.integers(0, trace.window.length, size=len(ts), endpoint=True)
+    # only the users are needed in canonical order: every time is redrawn
+    users = None if trace.users is None else trace.users[_stable_order(trace.docs)]
+    counts = np.bincount(trace.docs, minlength=len(trace.doc_names))
+    ts = _stream("global", seed).integers(0, trace.window.length, size=len(trace),
+                                          endpoint=True)
     return _rebuild(trace, ts, users, counts)
 
 

@@ -196,10 +196,13 @@ def _round_half_up(x: np.ndarray) -> np.ndarray:
 def _indexed_trace(times, doc_idx, n_docs: int, window: int) -> Trace:
     """The trace of requests to documents `doc_idx` of a catalog of
     `n_docs`, each named ``d%08d`` after its index; only the names of
-    requested documents are formatted."""
+    requested documents are formatted. Names of one width sort like their
+    indices, so the table is ascending as made: from 10**8 documents on,
+    every index is padded to the width of the largest."""
+    width = max(8, len(str(n_docs - 1)))
     names = np.empty(n_docs, dtype=object)
     used = np.flatnonzero(np.bincount(doc_idx, minlength=n_docs))
-    names[used] = [f"d{i:08d}" for i in used.tolist()]
+    names[used] = [f"d{i:0{width}d}" for i in used.tolist()]
     return _make_trace(times, doc_idx, names, window_length=window)
 
 

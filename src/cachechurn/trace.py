@@ -175,17 +175,64 @@ def _intern(values, table: dict) -> np.ndarray:
 
 
 def _compact(codes: np.ndarray, names: np.ndarray):
-    """Codes recoded onto the names they use, taken in ascending order."""
-    used = np.flatnonzero(np.bincount(codes, minlength=len(names)))
-    kept = np.asarray(names, dtype=object)[used]
-    if np.all(kept[:-1] < kept[1:]):  # the table of an existing Trace
-        order = slice(None)
-    else:
-        # Python's sort compares strings faster than numpy's sort of objects
-        order = sorted(range(len(kept)), key=kept.tolist().__getitem__)
+    """Codes recoded onto the names they use, which keep their order; a
+    table whose every name is used comes back as it is, with the codes as
+    int32 (copied only when they are not)."""
+    names = np.asarray(names, dtype=object)
+    counts = np.bincount(codes, minlength=len(names))
+    if counts.all():
+        return codes.astype(np.int32, copy=False), names
+    used = np.flatnonzero(counts)
     recode = np.zeros(len(names), dtype=np.int32)
-    recode[used[order]] = np.arange(len(used), dtype=np.int32)
-    return recode[codes], kept[order]
+    recode[used] = np.arange(len(used), dtype=np.int32)
+    return recode[codes], names[used]
+
+
+def _byte_order(words: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The permutation that sorts the distinct ids ``data[starts:ends]`` by
+    their bytes, which for UTF-8 is ``str`` order; `words` holds the data's
+    little-endian word at each byte. A pass compares, among the ids still
+    tied, the bytes compared so far that each has (shorter first) and then
+    its next 8 bytes as a big-endian word, zero past its end; so only tied
+    ids are read further, and each pass takes memory in proportion to them."""
+    lengths = ends - starts
+    order = np.arange(len(starts))
+    new = np.zeros(len(order), bool)  # where a run of ids tied so far starts
+    new[:1] = True
+    for at in range(0, int(lengths.max(initial=0)) + 8, 8):
+        tied = ~new
+        tied[:-1] |= ~new[1:]
+        rows = np.flatnonzero(tied)
+        if not len(rows):
+            break
+        ids = order[rows]
+        word = _word(words, starts[ids] + at, np.maximum(lengths[ids] - at, 0)).byteswap()
+        # the run, then the bytes compared so far, as one key above the word
+        head = np.cumsum(new[rows]) * (at + 1) + np.minimum(lengths[ids], at)
+        by = np.argsort(word)
+        by = by[_stable_order(head[by])]
+        head, word = head[by], word[by]
+        order[rows] = ids[by]
+        new[rows[1:]] = (head[1:] != head[:-1]) | (word[1:] != word[:-1])
+    return order
+
+
+def _sorted_names(names: list, encoded: list):
+    """The rank of each of `names` in the order of their bytes `encoded`,
+    and the names in that order."""
+    data = b"".join(encoded) + bytes(7)  # a word at each byte, the last ones too
+    lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
+    ends = np.cumsum(lengths)
+    order = _byte_order(np.ndarray((len(data) - 7,), "<u8", data, strides=(1,)),
+                        ends - lengths, ends)
+    return _ranks(order), np.array(names, dtype=object)[order]
+
+
+def _ranks(order: np.ndarray) -> np.ndarray:
+    """The inverse of the permutation `order`, as int32."""
+    rank = np.empty(len(order), np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
+    return rank
 
 
 def _stable_order(keys: np.ndarray) -> np.ndarray:
@@ -209,10 +256,11 @@ def _stable_order(keys: np.ndarray) -> np.ndarray:
 def _make_trace(
     timestamps, docs, doc_names, users=None, user_names=None, window_length=None
 ) -> Trace:
-    """Build a Trace from integer codes into sequences of distinct names
-    in any order (entries no code uses may be anything): sort the events
-    stably by time, keep the used names and recode them in ascending
-    order. Every Trace is built here."""
+    """Build a Trace from integer codes into tables of distinct names in
+    ascending order (entries no code uses may be anything): sort the events
+    stably by time, and keep the used names. Every Trace is built here;
+    every table is made in order where it is created (see
+    :func:`_byte_order`), never sorted again."""
     ts = np.asarray(timestamps, dtype=np.int64)
     if (ts[1:] < ts[:-1]).any():  # else already in order, and no copies are made
         order = _stable_order(ts)
@@ -238,12 +286,16 @@ def build_trace(
     timestamp when `window_length` is not given (at least 1 ms so the
     window stays valid for empty or single-instant traces).
     """
-    doc_table, user_table = {}, {}
-    doc_codes = _intern(docs, doc_table)
-    user_codes = None if users is None else _intern(users, user_table)
+    columns = []
+    for ids in (docs,) if users is None else (docs, users):
+        table = {}
+        codes = _intern(ids, table)
+        rank, names = _sorted_names(list(table), [name.encode("utf-8", "surrogatepass")
+                                                  for name in table])
+        columns += [rank[codes], names]
     # a copy: the caller's array must not change the Trace later
-    return _make_trace(np.array(timestamps, dtype=np.int64), doc_codes, list(doc_table),
-                       user_codes, list(user_table), window_length)
+    return _make_trace(np.array(timestamps, dtype=np.int64), *columns,
+                       window_length=window_length)
 
 
 def parse_trace(reader, window_length: Optional[int] = None) -> Trace:
@@ -311,9 +363,10 @@ def _assemble(ts, columns, lines, error, window_length: Optional[int]) -> Trace:
     share: the first timestamp beyond the window, then `error` (the first
     bad row, on a later line), then the first id that is not UTF-8.
 
-    `columns` holds, per id column, the codes of the rows and the names
-    they index, as bytes; `lines` holds each row's line, None when the
-    rows are lines 2, 3, ...
+    `columns` holds, per id column, the codes of the rows and the sorted
+    names they index: decoded (an object array of str), or as a list of
+    bytes; `lines` holds each row's line, None when the rows are lines 2,
+    3, ...
     """
     def line(row: int) -> int:
         return row + 2 if lines is None else int(lines[row])
@@ -325,6 +378,9 @@ def _assemble(ts, columns, lines, error, window_length: Optional[int]) -> Trace:
         raise error
     tables, failures = [], []
     for column, (codes, table) in enumerate(columns):
+        if isinstance(table, np.ndarray):
+            tables.append(table)
+            continue
         try:
             tables.append(list(map(bytes.decode, table)))
         except UnicodeDecodeError:
@@ -342,7 +398,8 @@ def _assemble(ts, columns, lines, error, window_length: Optional[int]) -> Trace:
 def _tokenize(data: bytes):
     """The rows of `data` by the stdlib csv reader, up to the first bad
     one, as :func:`_assemble` takes them. Ids keep their bytes, undecodable
-    ones included. Rows are checked and interned a batch at a time."""
+    ones included. Rows are checked and interned a batch at a time, and
+    each table is sorted once at the end."""
     reader = csv.reader(io.StringIO(data.decode("utf-8", "surrogateescape"), newline=""))
     expected = _check_header(next(reader))
     rows, tables = _rows(reader), [{} for _ in range(expected - 1)]
@@ -372,8 +429,11 @@ def _tokenize(data: bytes):
         for table, ids, part in zip(tables, fields[1:], parts[2:]):
             part.append(_intern(ids, table))
     ts, lines, *codes = map(np.concatenate, parts)
-    columns = [(out, [name.encode("utf-8", "surrogateescape") for name in table])
-               for out, table in zip(codes, tables)]
+    columns = []
+    for out, table in zip(codes, tables):
+        names = [name.encode("utf-8", "surrogateescape") for name in table]
+        rank, names = _sorted_names(names, names)
+        columns.append((rank[out], names.tolist()))
     return ts, columns, lines, error
 
 
@@ -541,14 +601,34 @@ def _group_ids(data: bytes, words: np.ndarray, starts: np.ndarray, ends: np.ndar
 
 
 def _name_table(data: bytes, words: np.ndarray, codes: np.ndarray, blocks: list):
-    """The distinct ids of one column, given where one id of each group of
-    each block (`blocks`) starts and ends, with the `codes` that index
-    those groups recoded in place to index the result."""
+    """The distinct ids of one column in ascending order, given where one
+    id of each group of each block (`blocks`) starts and ends, with the
+    `codes` that index those groups recoded in place to index the result.
+    The ids are decoded a length at a time, or all kept as bytes when that
+    fails."""
     recode, starts, ends = _group_ids(data, words,
                                       *(np.concatenate(part) for part in zip(*blocks)))
+    order = _byte_order(words, starts, ends)
+    recode = _ranks(order)[recode]
     for lo in range(0, len(codes), _BLOCK_BYTES):  # no index copy of the whole column
         codes[lo:lo + _BLOCK_BYTES] = recode[codes[lo:lo + _BLOCK_BYTES]]
-    return list(map(data.__getitem__, map(slice, starts.tolist(), ends.tolist())))
+    starts, ends = starts[order], ends[order]
+    # the ids of each length gathered as one record each, with a "\n" after
+    # each, then decoded and split together
+    lengths = ends - starts
+    by_length = _stable_order(lengths)
+    runs = np.flatnonzero(np.diff(lengths[by_length], prepend=-1, append=-1)).tolist()
+    table = np.empty(len(starts), dtype=object)
+    try:
+        for lo, hi in itertools.pairwise(runs):
+            ids, width = by_length[lo:hi], int(lengths[by_length[lo]])
+            records = np.ndarray((len(data) - width + 1,), f"V{width}", data, strides=(1,))
+            text = np.full((hi - lo, width + 1), 10, np.uint8)
+            text[:, :width] = records[starts[ids]].view(np.uint8).reshape(hi - lo, width)
+            table[ids] = str(text, "utf-8").split("\n")[:-1]
+    except UnicodeDecodeError:
+        return list(map(data.__getitem__, map(slice, starts.tolist(), ends.tolist())))
+    return table
 
 
 def serialize_trace(trace: Trace, writer) -> None:
@@ -561,14 +641,17 @@ def serialize_trace(trace: Trace, writer) -> None:
     columns = [(trace.docs, trace.doc_names)]
     if trace.users is not None:
         columns.append((trace.users, trace.user_names))
-    # the writer quotes an id holding "\n" but not one holding a lone "\r"
-    carriage = any("\r" in ",".join(map(str, names)) for _, names in columns)
-    quoting = csv.QUOTE_NONNUMERIC if carriage else csv.QUOTE_MINIMAL
+    # per column one row "0," + its ids + "\n", each id as the writer puts it
+    # within a row; the writer quotes an id holding "\n" but not one holding
+    # a lone "\r", so tables holding one are formatted again, every id quoted
+    for quoting in csv.QUOTE_MINIMAL, csv.QUOTE_NONNUMERIC:
+        fields = csv.writer(SimpleNamespace(write=str), lineterminator="\n", quoting=quoting)
+        texts = [fields.writerow([0, *names]).encode("utf-8", "surrogatepass")
+                 for _, names in columns]
+        if not any(b"\r" in text for text in texts):
+            break
     out = csv.writer(writer, lineterminator="\n", quoting=quoting)
     out.writerow(["timestamp_ms", "doc_id", "user_id"][: len(columns) + 1])
-    # per column one row "0," + its ids + "\n", each id as the writer puts it within a row
-    fields = csv.writer(SimpleNamespace(write=str), lineterminator="\n", quoting=quoting)
-    texts = [fields.writerow([0, *names]).encode("utf-8", "surrogatepass") for _, names in columns]
     tables, offset = [], 1  # where each id starts in the source, and its length
     for (codes, _), text in zip(columns, texts):
         text = np.frombuffer(text, np.uint8)
@@ -686,10 +769,12 @@ def extract_subtrace(trace: Trace, duration: int) -> Trace:
         ends = np.searchsorted(ts, ts + duration, side="right")
         lo = int(np.argmax(ends - np.arange(len(ts))))  # the first maximum
         hi = int(ends[lo])
-    users = None if trace.users is None else trace.users[lo:hi]
+    # copies, so that the sub-trace shares no array with the trace
+    users = (None, None) if trace.users is None else (trace.users[lo:hi].copy(),
+                                                      trace.user_names.copy())
     # ts[lo:lo + 1] is the start, or empty with the trace
-    return _make_trace(ts[lo:hi] - ts[lo : lo + 1], trace.docs[lo:hi], trace.doc_names,
-                       users, trace.user_names, duration)
+    return _make_trace(ts[lo:hi] - ts[lo : lo + 1], trace.docs[lo:hi].copy(),
+                       trace.doc_names.copy(), *users, duration)
 
 
 def trace_stats(trace: Trace) -> TraceSummary:

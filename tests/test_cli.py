@@ -208,6 +208,22 @@ def test_predict_box_without_estimable_docs(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_predict_box_zero_span_trace(tmp_path, capsys):
+    # every request at one instant: no lifespan or rate can be estimated, so
+    # the box model refuses it; the classic IRM curve needs neither
+    path = tmp_path / "instant.csv"
+    path.write_text("timestamp_ms,doc_id\n0,a\n0,b\n0,a\n0,b\n0,c\n0,a\n")
+    out = tmp_path / "box.csv"
+    assert main(["predict", str(path), "--method", "box", "--sizes", "1,2",
+                 "--out", str(out)]) == 3
+    assert "spans 0 ms" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+    out = tmp_path / "classic.csv"
+    assert main(["predict", str(path), "--method", "classic", "--sizes", "1,2",
+                 "--out", str(out)]) == 0
+    assert len(read_curve_csv(open(out, encoding="utf-8", newline="")).hit_ratios) == 2
+
+
 def test_predict_box_meta_and_shared_grid(tmp_path):
     config = GeneratorConfig.fixed_pair(gamma=5e-3, window=10**6, lam=5e-3, tau=2000)
     trace = generate_box_trace(config, seed=8)

@@ -1,8 +1,9 @@
 """Property tests: the batched characteristic-time inverter and the bounds
 of the predicted hit-ratio curve; exact stack distances, the CSV round
 trip, the two CSV tokenizers and the serializer against the stdlib csv
-module, session consolidation, the packed-key stable sort and the
-randomization invariants of the trace layer."""
+module, session consolidation, the packed-key stable sort, the byte
+order of the id tables and the randomization invariants of the trace
+layer."""
 
 import csv
 import io
@@ -267,6 +268,45 @@ keys_extreme = st.lists(st.sampled_from([-2**63, -2**63 + 1, -1, 0, 2**62, 2**63
 def test_stable_order_matches_stable_argsort(keys):
     order = trace_module._stable_order(keys)
     assert np.array_equal(order, np.argsort(keys, kind="stable"))
+
+
+#: ids for the byte order: ASCII with NULs, 2-, 3- and 4-byte UTF-8, and
+#: lone surrogates, which only build_trace takes; on prefixes that tie them
+#: on their first 8 or 16 bytes, and each with a prefix of itself
+utf8_chars = ["a", "b", "\x00", "\x7f", "\xe9", "\u07ff", "\u20ac", "\uffff", "\U0001d11e",
+              "\U0010ffff"]
+surrogates = ["\ud7ff", "\ud800", "\udbff", "\udc00", "\udfff", "\ue000"]
+
+
+def id_list(chars):
+    texts = st.lists(st.text(st.sampled_from(chars), max_size=40), min_size=1, max_size=30)
+    heads = st.sampled_from(["", "abcdefgh", "abcdefghijklmnop", "\xe9\u20ac\U0001d11e"])
+    return st.tuples(heads, texts).map(lambda drawn: list(dict.fromkeys(
+        name[:40] for text in drawn[1] for name in (drawn[0] + text, drawn[0] + text[:len(text) // 2])
+        if name)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(names=st.one_of(id_list(utf8_chars), id_list(utf8_chars + surrogates)),
+       ends_with_newline=st.booleans())
+@example(names=["ab", "ab\x00", "ab\x00\x00", "abcdefgh", "abcdefgh\x00", "abcdefghi",
+                "abcdefghijklmnop", "abcdefghijklmnop\x00", "abcdefghijklmnopq", "b"],
+         ends_with_newline=False)
+def test_byte_order_matches_str_order(names, ends_with_newline):
+    # every table is sorted by its ids' bytes where it is made: by
+    # build_trace, by the byte scan and by the csv reader alike
+    order = names[1::2] + names[::2]
+    trace = build_trace(range(len(order)), order)
+    assert trace.doc_names.tolist() == sorted(names)
+    assert trace.doc_names[trace.docs].tolist() == order
+    if any("\ud800" <= char <= "\udfff" for name in names for char in name):
+        return  # a lone surrogate is not UTF-8, so no file holds it
+    data = "timestamp_ms,doc_id\n" + "".join(f"{t},{name}\n" for t, name in enumerate(order))
+    data = data.encode().removesuffix(b"\n" * (not ends_with_newline))
+    for tokenize in trace_module._scan, trace_module._tokenize:
+        parsed = trace_module._assemble(*tokenize(data), None)
+        assert parsed.doc_names.tolist() == sorted(names)
+        assert parsed.doc_names[parsed.docs].tolist() == order
 
 
 def times_by_doc(trace):

@@ -326,3 +326,42 @@ def test_trace_checks_its_id_invariant():
             Trace(ts, codes, table, None, None, window)
     with pytest.raises(ValueError, match="user ids"):
         Trace(ts, np.array([0, 1, 0], np.int32), names, None, names, window)
+
+
+def test_parse_memory_follows_the_ids():
+    # one long id among many short ones, tied with one of them on its first
+    # 16 bytes: ordering the ids reads on only those still tied, never every
+    # word of every id
+    long_id = "x" * 100_000
+    docs = [f"d{i}" for i in range(2000)] + ["x" * 16 + "y", long_id]
+    data = "timestamp_ms,doc_id\n" + "".join(f"{t},{doc}\n" for t, doc in enumerate(docs))
+    tracemalloc.start()
+    try:
+        tr = parse_trace(io.StringIO(data))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert tr.doc_names.tolist() == sorted(docs)
+    assert doc_ids(tr).tolist() == docs
+
+
+@pytest.mark.parametrize("duration", [20, 10])  # every name used, or not
+def test_extract_subtrace_shares_no_memory(duration):
+    tr = build_trace([0, 1, 2, 20], ["a", "b", "a", "c"], ["u", "v", "u", "w"], window_length=20)
+    sub = extract_subtrace(tr, duration)
+    assert len(sub) == (4 if duration == 20 else 3)
+    for field in ("timestamps", "docs", "doc_names", "users", "user_names"):
+        assert not np.shares_memory(getattr(sub, field), getattr(tr, field))
+
+
+def test_compact_keeps_a_table_whose_every_name_is_used():
+    names = np.array(["a", "b", "c"], dtype=object)
+    codes, table = trace_module._compact(np.array([2, 0, 1, 0]), names)  # int64, as generated
+    assert codes.dtype == np.int32 and codes.tolist() == [2, 0, 1, 0]
+    assert table is names
+    int32 = np.array([1, 0, 2], np.int32)
+    assert trace_module._compact(int32, names)[0] is int32  # no recode copy
+    codes, table = trace_module._compact(np.array([2, 0, 2], np.int32), names)
+    assert codes.dtype == np.int32 and codes.tolist() == [1, 0, 1]
+    assert table.tolist() == ["a", "c"]
