@@ -70,36 +70,22 @@ def _gap_weight(x):
     return out if out.ndim else float(out)
 
 
-def _by_lifespan(lam, tau, t, active, expired):
-    """Select per pair between the branch for a lifespan covering `t`
-    (tau >= t) and the branch for a lifespan shorter than `t`. Every
-    piecewise formula of the model splits at this one breakpoint."""
-    return np.where(tau >= t, active(lam, tau, t), expired(lam, tau, t))
+def _ws_pair(lam, tau, t):
+    """Working-set contribution of one (rate, lifespan) pair over a window
+    of length t: 2s + (1 - e^{-lam s})(l - s - 2/lam) with s = min(tau, t)
+    and l = max(tau, t). The lifespan and the window enter symmetrically,
+    so past the lifespan (t > tau) it grows linearly in t."""
+    s = np.minimum(tau, t)
+    return 2.0 * s + _one_minus_exp(lam * s) * (np.maximum(tau, t) - s - 2.0 / lam)
 
 
-def _ws_pair_active(lam, tau, t):
-    """Working-set contribution of one (rate, lifespan) pair for t within
-    the lifespan (tau >= t)."""
-    return 2.0 * t + _one_minus_exp(lam * t) * (tau - t - 2.0 / lam)
-
-
-def _ws_pair_expired(lam, tau, t):
-    """Working-set contribution of one pair for windows longer than the
-    lifespan (tau < t); grows linearly in t."""
-    return 2.0 * tau + _one_minus_exp(lam * tau) * (t - tau - 2.0 / lam)
-
-
-def _repeat_pair_active(lam, tau, t):
-    """Repeat-documents kernel branch for tau >= t."""
-    return 2.0 * t * _one_minus_exp(lam * t) + _gap_weight(lam * t) * (
-        tau - t - 4.0 / lam
-    )
-
-
-def _repeat_pair_expired(lam, tau, t):
-    """Repeat-documents kernel branch for tau < t."""
-    return 2.0 * tau * _one_minus_exp(lam * tau) + _gap_weight(lam * tau) * (
-        t - tau - 4.0 / lam
+def _repeat_pair(lam, tau, t):
+    """Repeat-documents kernel of one pair over a window of length t:
+    2s(1 - e^{-lam s}) + G(lam s)(l - s - 4/lam) with s = min(tau, t),
+    l = max(tau, t) and G the :func:`_gap_weight`."""
+    s = np.minimum(tau, t)
+    return 2.0 * s * _one_minus_exp(lam * s) + _gap_weight(lam * s) * (
+        np.maximum(tau, t) - s - 4.0 / lam
     )
 
 
@@ -137,7 +123,7 @@ def box_working_set(t, gamma: float, lambdas, taus):
     if len(lam) == 0:
         return np.zeros_like(t_arr) if t_arr.ndim else 0.0
     tt = np.atleast_1d(t_arr)[:, None]
-    per_pair = _by_lifespan(lam, tau, tt, _ws_pair_active, _ws_pair_expired)
+    per_pair = _ws_pair(lam, tau, tt)
     out = gamma * per_pair.mean(axis=1)
     return out if t_arr.ndim else float(out[0])
 
@@ -172,7 +158,7 @@ def repeat_doc_window_mean(lam, tau, t):
         raise ValueError("t must be non-negative")
     lam = np.asarray(lam, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    out = _by_lifespan(lam, tau, t_arr, _repeat_pair_active, _repeat_pair_expired)
+    out = _repeat_pair(lam, tau, t_arr)
     return out if out.ndim else float(out)
 
 
@@ -283,32 +269,25 @@ def characteristic_time(
     ]
 
 
-def _hits_short_doc(lam, tau, t_c):
-    """Expected hits when the whole lifespan fits under t_C: every request
-    after the first hits, so x - 1 + exp(-x) with x = lam*tau, the mean
-    Poisson count beyond the first. That cancels to O(x^2) for small x,
-    handled by series. Takes `t_c`, unused, to share the branch signature."""
-    x = np.asarray(lam * tau, dtype=float)
-    series = 0.5 * x * x * (1 - x / 3.0 + x * x / 12.0 - x**3 / 60.0 + x**4 / 360.0)
-    return np.where(x < SERIES_THRESHOLD, series, x + np.expm1(-x))
-
-
-def _hits_long_doc(lam, tau, t_c):
-    """Expected hits when the lifespan outlives t_C: only inter-request
-    gaps shorter than t_C produce hits. Algebraically
-    (x-1)(1-e^-y) + y e^-y with x = lam*tau, y = lam*t_c, but evaluated as
-    x(1-e^-y) - (1-e^-y-y e^-y) which stays cancellation-free for y <= x."""
+def _hits_pair(lam, tau, t_c):
+    """Expected hits of one pair: x(1 - e^{-y}) - G(y) with x = lam*tau and
+    y = lam*min(tau, t_C), G the :func:`_gap_weight`. This is
+    (x-1)(1-e^-y) + y e^-y written so that it stays cancellation-free for
+    y <= x; at y = x it is x - 1 + e^-x, the mean Poisson count beyond the
+    first."""
     x = lam * tau
-    y = lam * t_c
+    y = lam * np.minimum(tau, t_c)
     return x * _one_minus_exp(y) - _gap_weight(y)
 
 
 def expected_hits_per_doc(lam, tau, t_c):
     """Expected LRU hits to one document at characteristic time t_C.
 
-    Piecewise in the lifespan: documents short-lived relative to t_C keep
-    all their repeat requests as hits; longer-lived documents lose the
-    gaps exceeding t_C. Broadcasts over array `lam`/`tau`.
+    A request hits when the gap since the previous request of the same
+    document is at most t_C. A lifespan no longer than t_C keeps every
+    request after the first as a hit; a longer one loses the gaps that
+    exceed t_C. One formula covers both, in min(tau, t_C). Broadcasts
+    over array `lam`/`tau`.
 
     Returns
     -------
@@ -319,7 +298,7 @@ def expected_hits_per_doc(lam, tau, t_c):
         raise ValueError("t_c must be non-negative")
     lam = np.asarray(lam, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    out = _by_lifespan(lam, tau, t_c, _hits_long_doc, _hits_short_doc)
+    out = _hits_pair(lam, tau, t_c)
     return out if out.ndim else float(out)
 
 

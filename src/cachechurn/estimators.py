@@ -100,9 +100,7 @@ def solve_n_prime(n, tol: float = N_PRIME_TOL, max_iter: int = 200):
         if not np.any(open_mask):
             break
         mid = 0.5 * (lo + hi)
-        f = np.ones_like(mid)
-        pos = mid > 0
-        f[pos] = mid[pos] / (-np.expm1(-mid[pos]))
+        f = mid / -np.expm1(-mid)  # mid > 0: lo >= 0 and hi >= 1
         below = f < arr
         lo = np.where(open_mask & below, mid, lo)
         hi = np.where(open_mask & ~below, mid, hi)

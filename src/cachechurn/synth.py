@@ -19,7 +19,6 @@ import numpy as np
 from .trace import Trace, _make_trace
 
 __all__ = [
-    "ConfigParseError",
     "DocumentProfile",
     "GeneratorConfig",
     "Population",
@@ -34,10 +33,6 @@ __all__ = [
 #: still be alive at its start. Taken as the 99.9th percentile of the
 #: lifespan pool, approximating a catalog that has been publishing forever.
 WARMUP_TAU_PERCENTILE = 99.9
-
-
-class ConfigParseError(ValueError):
-    """Raised when a generator config document is not of its JSON form."""
 
 
 @dataclass(frozen=True)
@@ -111,29 +106,29 @@ class GeneratorConfig:
         """Load a config from its JSON document form:
         ``{gamma, window_ms, warmup_ms?, pairs: [[lambda, tau], ...]}``.
 
-        Raises :class:`ConfigParseError` when the document is not of that
-        form: not an object, a key missing, or a value of the wrong kind
-        or out of its range.
+        Raises ValueError when the document is not of that form: not an
+        object, a key missing, or a value of the wrong kind or out of its
+        range.
         """
         data = json.loads(text)
         if not isinstance(data, dict):
-            raise ConfigParseError("generator config must be a JSON object")
+            raise ValueError("generator config must be a JSON object")
         missing = [key for key in ("gamma", "window_ms", "pairs") if key not in data]
         if missing:
-            raise ConfigParseError(f"generator config lacks {', '.join(missing)}")
+            raise ValueError(f"generator config lacks {', '.join(missing)}")
         try:
             pairs = np.asarray(data["pairs"], dtype=float)
             gamma, window = float(data["gamma"]), int(data["window_ms"])
             warmup = float(data["warmup_ms"]) if "warmup_ms" in data else None
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigParseError(f"generator config has a malformed value: {exc}") from None
+            raise ValueError(f"generator config has a malformed value: {exc}") from None
         if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ConfigParseError("pairs must be a list of [lambda, tau] pairs")
+            raise ValueError("pairs must be a list of [lambda, tau] pairs")
         try:
             return cls(gamma=gamma, window=window, lambdas=pairs[:, 0], taus=pairs[:, 1],
                        warmup=warmup)
         except ValueError as exc:
-            raise ConfigParseError(f"generator config is out of range: {exc}") from None
+            raise ValueError(f"generator config is out of range: {exc}") from None
 
     def to_json(self) -> str:
         return json.dumps(

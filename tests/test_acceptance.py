@@ -10,13 +10,8 @@ import time
 import numpy as np
 import pytest
 
+from cachechurn import boxmodel
 from cachechurn.boxmodel import (
-    _hits_long_doc,
-    _hits_short_doc,
-    _repeat_pair_active,
-    _repeat_pair_expired,
-    _ws_pair_active,
-    _ws_pair_expired,
     box_working_set,
     characteristic_time,
     irm_che_curve,
@@ -44,7 +39,7 @@ from cachechurn.synth import (
 )
 from cachechurn.trace import parse_trace, trace_stats
 
-from conftest import random_trace
+from conftest import paper_branch_forms, random_trace
 
 
 def report(num, name, ok, detail=""):
@@ -249,18 +244,15 @@ def test_criterion_7_randomization_preservation(rng):
 
 
 def test_criterion_8_branch_continuity(rng):
+    # at t = tau each one-formula kernel meets both of the paper's branches
     lam = 10 ** rng.uniform(-6, 1, 1000)
     tau = 10 ** rng.uniform(-1, 6, 1000)
     worst = 0.0
-    for active, expired in (
-        (_ws_pair_active, _ws_pair_expired),
-        (_repeat_pair_active, _repeat_pair_expired),
-        (_hits_short_doc, _hits_long_doc),
-    ):
-        left = active(lam, tau, tau)
-        right = expired(lam, tau, tau)
-        scale = np.maximum(np.abs(left), np.abs(right)) + 1e-300
-        worst = max(worst, float(np.max(np.abs(left - right) / scale)))
+    for name, forms in paper_branch_forms(lam, tau, tau).items():
+        kernel = getattr(boxmodel, name)(lam, tau, tau)
+        for form in forms:
+            scale = np.maximum(np.abs(kernel), np.abs(form)) + 1e-300
+            worst = max(worst, float(np.max(np.abs(kernel - form) / scale)))
     ok = worst <= 1e-12
     assert report(8, "piecewise formulas agree at their breakpoints",
                   ok, f"worst rel gap={worst:.2e}")

@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from cachechurn import boxmodel
 from cachechurn.boxmodel import (
     WorkingSetModel,
-    _hits_long_doc,
-    _hits_short_doc,
-    _repeat_pair_active,
-    _repeat_pair_expired,
-    _ws_pair_active,
-    _ws_pair_expired,
     box_hit_ratio_curve,
     box_working_set,
     characteristic_time,
@@ -27,6 +22,7 @@ from cachechurn.estimators import (
 )
 from cachechurn.synth import GeneratorConfig, generate_box_trace, monte_carlo_distinct_docs
 from cachechurn.trace import trace_stats
+from conftest import paper_branch_forms
 
 # gamma=1, lambda=1, tau=2: mean distinct docs in windows of 2 and 5 ms
 WS_AT_2 = 2.2706705664732254  # 4 - 2 * (1 - e^-2)
@@ -85,22 +81,47 @@ def test_repeat_kernel_zero_at_zero():
     assert repeat_doc_window_mean(1.0, 2.0, 0.0) == 0.0
 
 
+def assert_kernels_match_paper(lam, tau, t):
+    """Each kernel equals the paper's branch for its side of tau = t: bit
+    for bit, except the expected hits of a lifespan shorter than t_C, which
+    the kernel reaches through the long form and so match to 1e-12."""
+    covering = tau >= t
+    for name, (long_form, short_form) in paper_branch_forms(lam, tau, t).items():
+        got = getattr(boxmodel, name)(lam, tau, t)
+        want = np.where(covering, long_form, short_form)
+        if name != "_hits_pair":
+            assert np.array_equal(got, want), name
+            continue
+        assert np.array_equal(got[covering], want[covering]), name
+        scale = np.maximum(np.abs(got), np.abs(want)) + 1e-300
+        assert np.max(np.abs(got - want) / scale, initial=0.0) <= 1e-12, name
+
+
 def test_branch_continuity_everywhere(rng):
-    # the two branches of each piecewise formula agree at the breakpoint
+    # the one-formula kernels against the paper's branch forms, on both
+    # sides of the breakpoint and on it, where the two forms also agree
     lam = 10 ** rng.uniform(-6, 1, 1000)
     tau = 10 ** rng.uniform(-1, 6, 1000)
-    for a, b in (
-        (_ws_pair_active, _ws_pair_expired),
-        (_repeat_pair_active, _repeat_pair_expired),
-    ):
-        left = a(lam, tau, tau)  # t = tau on the active side
-        right = b(lam, tau, tau)
-        scale = np.maximum(np.abs(left), np.abs(right)) + 1e-300
-        assert np.max(np.abs(left - right) / scale) <= 1e-12
-    short = _hits_short_doc(lam, tau, tau)
-    long = _hits_long_doc(lam, tau, tau)  # t_c = tau
-    scale = np.maximum(np.abs(short), np.abs(long)) + 1e-300
-    assert np.max(np.abs(short - long) / scale) <= 1e-12
+    below = tau * 10 ** rng.uniform(-3, -0.01, 1000)
+    above = tau * 10 ** rng.uniform(0.01, 3, 1000)
+    for t in (below, tau, above):
+        assert_kernels_match_paper(lam, tau, t)
+    for long_form, short_form in paper_branch_forms(lam, tau, tau).values():
+        scale = np.maximum(np.abs(long_form), np.abs(short_form)) + 1e-300
+        assert np.max(np.abs(long_form - short_form) / scale) <= 1e-12
+    # broadcast: a column of window lengths against the row of pairs
+    grid = np.geomspace(0.1, 1e6, 40)[:, None]
+    assert_kernels_match_paper(lam, tau, grid)
+    # scalars, through the public wrappers
+    for i in range(0, 1000, 97):
+        for t in (below[i], tau[i], above[i]):
+            args = (float(lam[i]), float(tau[i]), float(t))
+            repeat = repeat_doc_window_mean(*args)
+            hits = expected_hits_per_doc(*args)
+            assert type(repeat) is float and type(hits) is float
+            assert repeat == float(boxmodel._repeat_pair(*args))
+            assert hits == float(boxmodel._hits_pair(*args))
+            assert_kernels_match_paper(*(np.float64(a) for a in args))
 
 
 def test_repeat_kernel_matches_monte_carlo():

@@ -10,7 +10,10 @@ documents) and times, in this one process, each of:
 - ``randomize_global``, ``randomize_positional``, ``randomize_local``:
   each randomization, seed 2024;
 - ``run_semi_experiments``: all three and their four curve passes, on the
-  size grid of 1 % to 40 % of the documents, 20 sizes (``log:305:12188:20``).
+  size grid of 1 % to 40 % of the documents, 20 sizes (``log:305:12188:20``);
+- ``box_hit_ratio_curve``: the box-model prediction on that grid, from the
+  trace's joint (rate, lifespan) sample and catalog rate, both built once
+  outside the timed runs, as ``predict --method box`` builds them.
 
 Each stage runs ``RUNS`` times. Prints one JSON object: per stage the
 wall times of its runs and their minimum, and ``ru_maxrss_mb``, this
@@ -31,11 +34,14 @@ import time
 import numpy as np
 
 import cachechurn
+from cachechurn.boxmodel import box_hit_ratio_curve
+from cachechurn.estimators import build_joint_sample, estimate_catalog_rate
 from cachechurn.lrusim import stack_distances
 from cachechurn.shuffle import (
     randomize_global, randomize_local, randomize_positional, run_semi_experiments,
 )
 from cachechurn.synth import GeneratorConfig, generate_box_trace
+from cachechurn.trace import trace_stats
 
 RUNS = 3
 SEED = 2024
@@ -67,10 +73,14 @@ def main() -> dict:
     trace = generate_box_trace(config, SEED)
     docs = trace.distinct_docs
     sizes = np.unique(np.rint(np.geomspace(round(0.01 * docs), round(0.4 * docs), 20)))
+    sizes = sizes.astype(np.int64)
     timed("stack_distances", stack_distances, trace)
     for fn in (randomize_global, randomize_positional, randomize_local):
         timed(fn.__name__, fn, trace, SEED)
-    timed("run_semi_experiments", run_semi_experiments, trace, sizes.astype(np.int64), SEED)
+    timed("run_semi_experiments", run_semi_experiments, trace, sizes, SEED)
+    sample = build_joint_sample(trace)
+    gamma_hat = estimate_catalog_rate(trace_stats(trace), trace.window.length)
+    timed("box_hit_ratio_curve", box_hit_ratio_curve, sample, gamma_hat, sizes)
     return {"requests": len(trace), "docs": docs, "runs": RUNS, "stages": stages,
             "cachechurn": cachechurn.__version__, "numpy": np.__version__,
             "python": sys.version.split()[0]}
