@@ -62,11 +62,10 @@ def _gap_weight(x):
     x^2/2 - x^3/3 + x^4/8 - x^5/30 + x^6/144.
     """
     x = np.asarray(x, dtype=float)
-    exact = -np.expm1(-x) - x * np.exp(-x)
-    series = (
-        0.5 * x * x * (1 - (2.0 / 3.0) * x + 0.25 * x * x - x**3 / 15.0 + x**4 / 72.0)
-    )
-    out = np.where(x < SERIES_THRESHOLD, series, exact)
+    out = np.asarray(-np.expm1(-x) - x * np.exp(-x))
+    small = x < SERIES_THRESHOLD
+    x = x[small]  # the series only on the cells that use it
+    out[small] = 0.5 * x * x * (1 - (2.0 / 3.0) * x + 0.25 * x * x - x**3 / 15.0 + x**4 / 72.0)
     return out if out.ndim else float(out)
 
 

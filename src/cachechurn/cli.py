@@ -26,13 +26,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import __version__
-from .boxmodel import box_hit_ratio_curve, irm_che_curve, box_working_set
-from .estimators import build_joint_sample, estimate_catalog_rate, rank_frequency
-from .lrusim import _rounded_sizes, check_cache_sizes, hit_ratio_curve, write_curve_csv
-from .shuffle import RANDOMIZATION_KINDS, randomize, run_semi_experiments
-from .synth import GeneratorConfig, generate_box_trace, monte_carlo_distinct_docs
-from .trace import consolidate_sessions, parse_trace, serialize_trace, trace_stats
+# Each command imports the library modules it runs, so a child process
+# loads only those.
+from . import RANDOMIZATION_KINDS, __version__
 
 __all__ = ["main"]
 
@@ -69,6 +65,8 @@ def _parse_grid_spec(spec: str, max_size: int) -> np.ndarray:
     the distinct-document count of the input trace), or an explicit comma
     list ``1,2,5,10``. Duplicates after rounding collapse.
     """
+    from .lrusim import _rounded_sizes, check_cache_sizes
+
     try:
         sizes = _range_spec(spec, int, 1, max_size)
         if sizes is not None:
@@ -111,6 +109,8 @@ def _check_flag_ranges(args) -> None:
 
 
 def _load_trace(path: str, window: Optional[int], gap_ms: Optional[int]):
+    from .trace import consolidate_sessions, parse_trace
+
     trace = parse_trace(path, window)
     if gap_ms is not None:
         trace = consolidate_sessions(trace, gap_ms)
@@ -132,6 +132,8 @@ def _write_manifest(out_path: str, subcommand: str, argv: Sequence[str], **param
 
 
 def _generator_config(args) -> GeneratorConfig:
+    from .synth import GeneratorConfig
+
     if args.config:
         return GeneratorConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
     missing = [
@@ -155,6 +157,8 @@ def _generator_config(args) -> GeneratorConfig:
 
 
 def _cmd_simulate(args, argv) -> int:
+    from .lrusim import hit_ratio_curve, write_curve_csv
+
     trace = _load_trace(args.trace, None, args.gap_ms)
     sizes = _parse_grid_spec(args.sizes, max(trace.distinct_docs, 1))
     curve = hit_ratio_curve(trace, sizes)
@@ -168,6 +172,9 @@ def _cmd_simulate(args, argv) -> int:
 
 
 def _cmd_shuffle(args, argv) -> int:
+    from .shuffle import randomize, run_semi_experiments
+    from .trace import serialize_trace
+
     trace = _load_trace(args.trace, None, args.gap_ms)
     if args.kind == "all":
         sizes = _parse_grid_spec(args.sizes, max(trace.distinct_docs, 1))
@@ -202,6 +209,11 @@ def _cmd_shuffle(args, argv) -> int:
 
 
 def _cmd_predict(args, argv) -> int:
+    from .boxmodel import box_hit_ratio_curve, irm_che_curve
+    from .estimators import build_joint_sample, estimate_catalog_rate, rank_frequency
+    from .lrusim import write_curve_csv
+    from .trace import trace_stats
+
     trace = _load_trace(args.trace, None, args.gap_ms)
     sizes = _parse_grid_spec(args.sizes, max(trace.distinct_docs, 1))
     if args.method == "classic":
@@ -239,6 +251,9 @@ def _cmd_predict(args, argv) -> int:
 
 
 def _cmd_generate(args, argv) -> int:
+    from .synth import generate_box_trace
+    from .trace import serialize_trace
+
     config = _generator_config(args)
     trace = generate_box_trace(config, args.seed)
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
@@ -251,6 +266,9 @@ def _cmd_generate(args, argv) -> int:
 
 
 def _cmd_validate(args, argv) -> int:
+    from .boxmodel import box_working_set
+    from .synth import monte_carlo_distinct_docs
+
     config = _generator_config(args)
     t_grid = _parse_t_grid(args.t_grid, config.window)
     mc = monte_carlo_distinct_docs(config, t_grid, args.reps, args.seed)

@@ -228,9 +228,11 @@ def log_size_grid(max_size: int, count: int = DEFAULT_GRID_POINTS) -> np.ndarray
 
 
 def _rounded_sizes(grid) -> np.ndarray:
-    """The distinct integer cache sizes a real-valued `grid` rounds to,
-    ascending."""
-    return np.unique(np.rint(grid).astype(np.int64))
+    """The distinct integer cache sizes an ascending real-valued `grid`
+    rounds to, ascending. Rounding keeps the order, so a size is new when
+    it differs from the one before it."""
+    sizes = np.rint(grid).astype(np.int64)
+    return sizes[np.diff(sizes, prepend=sizes[:1] - 1) != 0]
 
 
 def check_cache_sizes(sizes: Sequence[int]) -> np.ndarray:

@@ -28,6 +28,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
+from . import RANDOMIZATION_KINDS
 from .lrusim import HitRatioCurve, hit_ratio_curve, mare
 from .trace import Trace, _make_trace, _stable_order
 
@@ -40,8 +41,6 @@ __all__ = [
     "randomize",
     "run_semi_experiments",
 ]
-
-RANDOMIZATION_KINDS = ("global", "positional", "local")
 
 
 def _stream(kind: str, seed: int) -> np.random.Generator:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cachechurn
 from cachechurn.cli import main
 from cachechurn.lrusim import log_size_grid, read_curve_csv
 from cachechurn.synth import GeneratorConfig, generate_box_trace
@@ -349,3 +351,56 @@ def test_console_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+#: Runs one command in a fresh interpreter and prints its exit code, the
+#: cachechurn submodules it loaded and whether numpy.ma was imported.
+COMMAND_PROBE = """
+import json, sys
+from cachechurn.cli import main
+code = main(sys.argv[1:])
+loaded = sorted(m.split(".")[1] for m in sys.modules if m.startswith("cachechurn."))
+print(json.dumps([code, loaded, "numpy.ma" in sys.modules]))
+"""
+
+
+def run_probe(code, *argv, cwd):
+    env = dict(os.environ, PYTHONPATH=str(Path(cachechurn.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["simulate", "TRACE", "--sizes", "log:1:max:12"], ["lrusim", "trace"]),
+    (["predict", "TRACE", "--method", "box"], ["boxmodel", "estimators", "lrusim", "trace"]),
+    (["predict", "TRACE", "--method", "classic"], ["boxmodel", "estimators", "lrusim", "trace"]),
+    (["shuffle", "TRACE", "--kind", "all", "--sizes", "lin:1:max:12"],
+     ["lrusim", "shuffle", "trace"]),
+    (["generate", "--gamma", "0.01", "--window-ms", "5000", "--lambda", "0.01", "--tau", "500"],
+     ["synth", "trace"]),
+], ids=["simulate", "predict-box", "predict-classic", "shuffle-all", "generate"])
+def test_each_command_loads_only_the_modules_it_runs(trace_file, tmp_path, argv, modules):
+    argv = [trace_file if arg == "TRACE" else arg for arg in argv] + ["--out", "out.csv"]
+    code, loaded, numpy_ma = run_probe(COMMAND_PROBE, *argv, cwd=tmp_path)
+    assert code == 0
+    assert loaded == sorted(modules + ["cli"])
+    if argv[0] != "generate":  # a size grid is parsed without numpy.ma
+        assert not numpy_ma
+
+
+def test_package_import_loads_no_submodule_and_resolves_every_name(tmp_path):
+    probe = """
+import json, sys
+import cachechurn
+bare = [m for m in sys.modules if m.startswith("cachechurn.")]
+unresolved = [name for name in cachechurn.__all__ if getattr(cachechurn, name, None) is None]
+star = {}
+exec("from cachechurn import *", star)
+star = sorted(set(star) - {"__builtins__"})
+print(json.dumps([bare, unresolved, len(cachechurn.__all__), star]))
+"""
+    bare, unresolved, count, star = run_probe(probe, cwd=tmp_path)
+    assert bare == [] and unresolved == []
+    assert count == 49 and star == sorted(cachechurn.__all__)

@@ -1,7 +1,8 @@
-"""Property tests: the batched characteristic-time inverter and the bounds
-of the predicted hit-ratio curve; exact stack distances, the CSV round
-trip, the two CSV tokenizers and the serializer against the stdlib csv
-module, session consolidation, the packed-key stable sort, the byte
+"""Property tests: the batched characteristic-time inverter, the bounds
+of the predicted hit-ratio curve and the gap weight's two forms; the
+rounded cache-size grid, exact stack distances, the CSV round trip, the
+two CSV tokenizers and the serializer against the stdlib csv module,
+session consolidation, the packed-key stable sort, the byte
 order of the id tables and the randomization invariants of the trace
 layer."""
 
@@ -11,9 +12,15 @@ import io
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from cachechurn.boxmodel import box_hit_ratio_curve, box_working_set, characteristic_time
+from cachechurn.boxmodel import (
+    SERIES_THRESHOLD,
+    _gap_weight,
+    box_hit_ratio_curve,
+    box_working_set,
+    characteristic_time,
+)
 from cachechurn.estimators import build_joint_sample, estimate_catalog_rate
-from cachechurn.lrusim import brute_force_lru, stack_distances
+from cachechurn.lrusim import _rounded_sizes, brute_force_lru, stack_distances
 from cachechurn.shuffle import randomize_global, randomize_local, randomize_positional
 from cachechurn import trace as trace_module
 from cachechurn.trace import (
@@ -79,6 +86,60 @@ def test_box_curve_within_cold_miss_ceiling(requests):
     ceiling = 1.0 - sample.distinct_docs / len(trace)
     assert np.all(curve.hit_ratios >= -SLACK)
     assert np.all(curve.hit_ratios <= ceiling + SLACK)
+
+
+def gap_weight_by_where(x):
+    """The gap weight with both forms on every cell and one kept by
+    ``np.where``, as it was before the series went to the small cells only."""
+    x = np.asarray(x, dtype=float)
+    exact = -np.expm1(-x) - x * np.exp(-x)
+    series = (
+        0.5 * x * x * (1 - (2.0 / 3.0) * x + 0.25 * x * x - x**3 / 15.0 + x**4 / 72.0)
+    )
+    out = np.where(x < SERIES_THRESHOLD, series, exact)
+    return out if out.ndim else float(out)
+
+
+def assert_same_bits(got, want):
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+gap_arguments = st.lists(
+    st.one_of(st.floats(0, 2 * SERIES_THRESHOLD), st.floats(0, 60)), min_size=1, max_size=40
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=gap_arguments)
+@example(values=[np.nextafter(SERIES_THRESHOLD, 0), SERIES_THRESHOLD, 0.0, 1.0])
+def test_gap_weight_matches_both_forms_by_where(values):
+    x = np.array(values)
+    assert_same_bits(_gap_weight(x), gap_weight_by_where(x))
+    wide = np.broadcast_to(x, (3, len(x)))
+    assert_same_bits(_gap_weight(wide), gap_weight_by_where(wide))
+    grid = x[:, None] * np.array([0.5, 1.0, 3.0])
+    assert_same_bits(_gap_weight(grid), gap_weight_by_where(grid))
+    for v in values[:4]:
+        for scalar in (v, np.float64(v), np.array(v)):
+            assert_same_bits(_gap_weight(scalar), gap_weight_by_where(scalar))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["log", "lin"]),
+    lo=st.integers(1, 100),
+    span=st.one_of(st.integers(0, 60), st.integers(0, 10**9)),
+    n=st.integers(1, 400),
+)
+@example(kind="log", lo=1, span=9, n=40)  # many duplicates at the small end
+@example(kind="lin", lo=5, span=3, n=50)
+def test_rounded_sizes_match_unique(kind, lo, span, n):
+    grid = (np.geomspace if kind == "log" else np.linspace)(lo, lo + span, n)
+    want = np.unique(np.rint(grid).astype(np.int64))
+    got = _rounded_sizes(grid)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 #: (timestamp, doc) requests of small traces over a few documents

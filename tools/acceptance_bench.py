@@ -21,15 +21,29 @@ process's peak RSS after the stage's runs (it only grows, so it is the
 peak of every stage up to that one). The peak of the trace's own build
 counts towards every later stage.
 
+Before those stages it times whole CLI children, ``python -m cachechurn``
+with ``--version``, ``generate``, ``simulate``, ``predict --method box``
+and ``predict --method classic``, on the same config at gamma = 1e-4 per
+ms (0.28 M requests) and the same 1 % to 40 % grid of its documents. The
+children run ``CLI_RUNS`` rounds, one of each command per round, and the
+JSON gets each one's wall times, their median and its peak RSS
+(``os.wait4``). They are started through ``bench/launcher.py``, which
+is itself started while this process is small, because a child's peak
+RSS counts the peak of the process it was forked from.
+
 Run from the repository root, with only numpy installed::
 
     PYTHONPATH=src python3 tools/acceptance_bench.py
 """
 
 import json
+import os
 import resource
+import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -41,21 +55,75 @@ from cachechurn.shuffle import (
     randomize_global, randomize_local, randomize_positional, run_semi_experiments,
 )
 from cachechurn.synth import GeneratorConfig, generate_box_trace
-from cachechurn.trace import trace_stats
+from cachechurn.trace import parse_trace, trace_stats
 
 RUNS = 3
+CLI_RUNS = 5
+CLI_GAMMA = 1e-4
 SEED = 2024
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def acceptance_config() -> GeneratorConfig:
+def acceptance_config(gamma: float = 1e-3) -> GeneratorConfig:
     """The criterion-2 generator config of the acceptance trace."""
     rng = np.random.default_rng(12345)
     lambdas = 10 ** rng.uniform(np.log10(8e-6), np.log10(8e-4), 4000)
     taus = 10 ** rng.uniform(np.log10(1.5e5), np.log10(1.5e6), 4000)
-    return GeneratorConfig(1e-3, 3 * 10**7, lambdas, taus)
+    return GeneratorConfig(gamma, 3 * 10**7, lambdas, taus)
+
+
+def cli_children(work: Path) -> dict:
+    """Wall times and peak RSS of the CLI children at gamma = CLI_GAMMA."""
+    launcher = subprocess.Popen([sys.executable, str(ROOT / "bench" / "launcher.py")],
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def run(argv):
+        job = {"cmd": [sys.executable, "-m", "cachechurn", *argv], "cwd": str(work),
+               "env": env, "stdout": os.devnull, "stderr": str(work / "stderr"),
+               "timeout": 600}
+        launcher.stdin.write(json.dumps(job) + "\n")
+        launcher.stdin.flush()
+        result = json.loads(launcher.stdout.readline())
+        if result["code"] != 0:
+            raise SystemExit(f"{argv[0]} exited {result['code']}: "
+                             + (work / "stderr").read_text(errors="replace"))
+        return result
+
+    try:
+        (work / "config.json").write_text(acceptance_config(CLI_GAMMA).to_json(),
+                                          encoding="utf-8")
+        generate = ["generate", "--config", "config.json", "--seed", str(SEED), "--out"]
+        run(generate + ["trace.csv"])
+        trace = parse_trace(str(work / "trace.csv"))
+        docs = trace.distinct_docs
+        grid = ["--sizes", f"log:{round(0.01 * docs)}:{round(0.4 * docs)}:20"]
+        commands = {
+            "version": ["--version"],
+            "generate": generate + ["gen.csv"],
+            "simulate": ["simulate", "trace.csv", *grid, "--out", "sim.csv"],
+            "predict_box": ["predict", "trace.csv", "--method", "box", *grid, "--out", "box.csv"],
+            "predict_classic": ["predict", "trace.csv", "--method", "classic", *grid,
+                                "--out", "classic.csv"],
+        }
+        results = {name: [] for name in commands}
+        for _ in range(CLI_RUNS):
+            for name, argv in commands.items():
+                results[name].append(run(argv))
+    finally:
+        launcher.stdin.close()
+        launcher.wait()
+    children = {name: {"s": [r["seconds"] for r in runs],
+                       "median_s": float(np.median([r["seconds"] for r in runs])),
+                       "peak_rss_mb": max(r["maxrss_kb"] for r in runs) / 1024}
+                for name, runs in results.items()}
+    return {"gamma": CLI_GAMMA, "requests": len(trace), "docs": docs, "runs": CLI_RUNS,
+            "children": children}
 
 
 def main() -> dict:
+    with tempfile.TemporaryDirectory() as work:
+        cli = cli_children(Path(work))
     stages = {}
 
     def timed(name, fn, *args):
@@ -81,7 +149,7 @@ def main() -> dict:
     sample = build_joint_sample(trace)
     gamma_hat = estimate_catalog_rate(trace_stats(trace), trace.window.length)
     timed("box_hit_ratio_curve", box_hit_ratio_curve, sample, gamma_hat, sizes)
-    return {"requests": len(trace), "docs": docs, "runs": RUNS, "stages": stages,
+    return {"requests": len(trace), "docs": docs, "runs": RUNS, "stages": stages, "cli": cli,
             "cachechurn": cachechurn.__version__, "numpy": np.__version__,
             "python": sys.version.split()[0]}
 
