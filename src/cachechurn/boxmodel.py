@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import TYPE_CHECKING, Callable, List, Sequence
 
 import numpy as np
 
-from .estimators import EmpiricalJointSample
-from .lrusim import HitRatioCurve, check_cache_sizes
+if TYPE_CHECKING:  # an annotation only: `validate` runs without estimators
+    from .estimators import EmpiricalJointSample
 
 __all__ = [
     "WorkingSetModel",
@@ -338,6 +338,8 @@ def box_hit_ratio_curve(
     ValueError
         When the sample holds no estimable documents (n2 = 0).
     """
+    from .lrusim import HitRatioCurve, check_cache_sizes
+
     if sample.n2 == 0:
         raise ValueError("no estimable documents")
     sizes = check_cache_sizes(sizes)
@@ -368,6 +370,8 @@ def irm_che_curve(
     those points are clamped to the cold-miss ceiling
     ``1 - m / total_requests`` with a warning.
     """
+    from .lrusim import HitRatioCurve, check_cache_sizes
+
     counts = np.asarray(doc_counts, dtype=float)
     if len(counts) == 0 or np.any(counts <= 0):
         raise ValueError("doc_counts must be positive")

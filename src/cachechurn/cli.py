@@ -91,7 +91,7 @@ def _parse_t_grid(spec: str, window: int) -> list:
 
 def _check_flag_ranges(args) -> None:
     """Reject a numeric flag below its documented least value, or at it
-    where the bound is strict (NaN fails every bound)."""
+    where the bound is strict (NaN fails every bound), or infinite."""
     for flag, attr, least, strict in (
         ("--reps", "reps", 2, False),
         ("--min-requests", "min_requests", 2, False),
@@ -104,8 +104,10 @@ def _check_flag_ranges(args) -> None:
         ("--warmup-ms", "warmup_ms", 0, False),
     ):
         value = getattr(args, attr, None)
-        if value is not None and not (value > least if strict else value >= least):
-            raise _UsageError(f"{flag} must be {'>' if strict else '>='} {least}, got {value}")
+        if value is not None and not ((value > least if strict else value >= least)
+                                      and value < np.inf):
+            bound = "finite" if value == np.inf else f"{'>' if strict else '>='} {least}"
+            raise _UsageError(f"{flag} must be {bound}, got {value}")
 
 
 def _load_trace(path: str, window: Optional[int], gap_ms: Optional[int]):
@@ -126,8 +128,9 @@ def _write_manifest(out_path: str, subcommand: str, argv: Sequence[str], **param
         "outputs": [out_path],
     }
     manifest.update(params)
+    # one line: without `indent`, json takes its C encoder
     Path(f"{out_path}.manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8"
     )
 
 
@@ -260,7 +263,7 @@ def _cmd_generate(args, argv) -> int:
         serialize_trace(trace, handle)
     _write_manifest(
         args.out, "generate", argv,
-        seed=args.seed, config=json.loads(config.to_json()),
+        seed=args.seed, config=config.to_dict(),
     )
     return EXIT_OK
 
@@ -294,7 +297,7 @@ def _cmd_validate(args, argv) -> int:
         _write_manifest(
             args.out, "validate", argv,
             seed=args.seed, reps=args.reps, t_grid=args.t_grid,
-            config=json.loads(config.to_json()),
+            config=config.to_dict(),
         )
     else:
         emit(sys.stdout)

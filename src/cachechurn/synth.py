@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .trace import Trace, _make_trace
+from .trace import Trace, _make_trace, _stable_order
 
 __all__ = [
     "DocumentProfile",
@@ -78,6 +79,10 @@ class GeneratorConfig:
         tau = np.atleast_1d(np.asarray(self.taus, dtype=float))
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "taus", tau)
+        for name, value in (("gamma", self.gamma), ("lambdas", lam), ("taus", tau),
+                            ("warmup", self.warmup or 0.0)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
         if self.gamma < 0:
             raise ValueError("gamma must be non-negative")
         if self.window <= 0:
@@ -89,13 +94,16 @@ class GeneratorConfig:
         if self.warmup is not None and self.warmup < 0:
             raise ValueError("warmup must be non-negative")
 
-    @property
+    @cached_property
     def warmup_ms(self) -> float:
         if self.warmup is not None:
             return float(self.warmup)
-        if len(self.taus) == 1:
-            return float(self.taus[0])
-        return float(np.percentile(self.taus, WARMUP_TAU_PERCENTILE))
+        # np.percentile's "linear" rule, bit for bit, without its import of numpy.ma
+        taus, k = np.sort(self.taus), (len(self.taus) - 1) * (WARMUP_TAU_PERCENTILE / 100)
+        if k >= len(taus) - 1:
+            return float(taus[-1])
+        a, b, g = taus[int(k)], taus[int(k) + 1], k - int(k)
+        return float(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g)
 
     @classmethod
     def fixed_pair(cls, gamma, window, lam, tau, warmup=None) -> "GeneratorConfig":
@@ -130,15 +138,13 @@ class GeneratorConfig:
         except ValueError as exc:
             raise ValueError(f"generator config is out of range: {exc}") from None
 
+    def to_dict(self) -> dict:
+        """The JSON document form that :meth:`from_json` reads, as a dict."""
+        return {"gamma": self.gamma, "window_ms": self.window, "warmup_ms": self.warmup_ms,
+                "pairs": np.column_stack((self.lambdas, self.taus)).tolist()}
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "gamma": self.gamma,
-                "window_ms": self.window,
-                "warmup_ms": self.warmup_ms,
-                "pairs": [[float(l), float(t)] for l, t in zip(self.lambdas, self.taus)],
-            }
-        )
+        return json.dumps(self.to_dict())
 
 
 @dataclass(frozen=True)
@@ -282,10 +288,11 @@ def monte_carlo_distinct_docs(
     counts = np.empty((reps, len(t_grid)), dtype=np.int64)
     for rep in range(reps):
         trace = generate_box_trace(config, np.random.SeedSequence([seed, rep]))
-        for k, t in enumerate(t_grid):
-            upto = np.searchsorted(trace.timestamps, t, side="right")
-            per_doc = np.bincount(trace.docs[:upto])
-            counts[rep, k] = np.count_nonzero(per_doc >= min_requests)
+        # a document counts at t when its min_requests-th request is within [0, t]
+        per_doc = np.bincount(trace.docs)
+        kth = (np.cumsum(per_doc) - per_doc)[per_doc >= min_requests] + (min_requests - 1)
+        kth_times = np.sort(trace.timestamps[_stable_order(trace.docs)[kth]])
+        counts[rep] = np.searchsorted(kth_times, t_grid, side="right")
     mean = counts.mean(axis=0)
     stderr = counts.std(axis=0, ddof=1) / math.sqrt(reps)
     return MonteCarloDistinct(

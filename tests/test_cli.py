@@ -173,6 +173,17 @@ def test_shuffle_all_zero_reference_hit_ratio(tmp_path, capsys):
           "--tau", "10", "--seed", "-3"], "--seed"),
         (["generate", "--gamma", "-1", "--window-ms", "5", "--lambda", "1", "--tau", "2"],
          "--gamma"),
+        # an infinite generator value is a usage error too
+        (["generate", "--gamma", "inf", "--window-ms", "5", "--lambda", "1", "--tau", "2"],
+         "--gamma must be finite"),
+        (["validate", "--gamma", "0.01", "--window-ms", "100", "--lambda", "inf",
+          "--tau", "10", "--t-grid", "10,20"], "--lambda must be finite"),
+        (["generate", "--gamma", "0.01", "--window-ms", "100", "--lambda", "0.1",
+          "--tau", "inf"], "--tau must be finite"),
+        (["validate", "--gamma", "0.01", "--window-ms", "100", "--lambda", "0.1",
+          "--tau", "10", "--warmup-ms", "inf", "--t-grid", "10,20"], "--warmup-ms must be finite"),
+        (["validate", "--gamma", "nan", "--window-ms", "100", "--lambda", "0.1",
+          "--tau", "10", "--t-grid", "10,20"], "--gamma"),
     ],
 )
 def test_flag_out_of_range_usage_error(trace_file, tmp_path, capsys, argv, flag):
@@ -279,7 +290,13 @@ def test_generate_from_json_config_echoed_in_manifest(tmp_path):
     "document, message",
     [("{}", "lacks gamma, window_ms, pairs"), ("[1, 2]", "must be a JSON object"),
      ('{"gamma": null, "window_ms": 5, "pairs": [[1, 2]]}', "malformed value"),
-     ('{"gamma": -1, "window_ms": 5, "pairs": [[1, 2]]}', "gamma must be non-negative")],
+     ('{"gamma": -1, "window_ms": 5, "pairs": [[1, 2]]}', "gamma must be non-negative"),
+     # non-finite values, which json reads as NaN, Infinity and -Infinity
+     ('{"gamma": 0.01, "window_ms": 5, "pairs": [[NaN, 100.0]]}', "lambdas must be finite"),
+     ('{"gamma": 0.01, "window_ms": 5, "pairs": [[1, Infinity]]}', "taus must be finite"),
+     ('{"gamma": NaN, "window_ms": 5, "pairs": [[1, 2]]}', "gamma must be finite"),
+     ('{"gamma": 0.01, "window_ms": 5, "warmup_ms": -Infinity, "pairs": [[1, 2]]}',
+      "warmup must be finite")],
 )
 def test_malformed_config_is_parse_error(tmp_path, capsys, command, document, message):
     cfg_path = tmp_path / "gen.json"
@@ -372,6 +389,17 @@ def run_probe(code, *argv, cwd):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+@pytest.fixture
+def pool_config(tmp_path):
+    """A config of 40 (rate, lifespan) pairs and no `warmup_ms`, as the
+    benchmark writes it, so the warmup is the lifespan pool's percentile."""
+    rng = np.random.default_rng(5)
+    pairs = np.column_stack((rng.uniform(0.002, 0.01, 40), rng.uniform(200, 2000, 40)))
+    path = tmp_path / "pool.json"
+    path.write_text(json.dumps({"gamma": 0.01, "window_ms": 5000, "pairs": pairs.tolist()}))
+    return path
+
+
 @pytest.mark.parametrize("argv, modules", [
     (["simulate", "TRACE", "--sizes", "log:1:max:12"], ["lrusim", "trace"]),
     (["predict", "TRACE", "--method", "box"], ["boxmodel", "estimators", "lrusim", "trace"]),
@@ -380,14 +408,19 @@ def run_probe(code, *argv, cwd):
      ["lrusim", "shuffle", "trace"]),
     (["generate", "--gamma", "0.01", "--window-ms", "5000", "--lambda", "0.01", "--tau", "500"],
      ["synth", "trace"]),
-], ids=["simulate", "predict-box", "predict-classic", "shuffle-all", "generate"])
-def test_each_command_loads_only_the_modules_it_runs(trace_file, tmp_path, argv, modules):
-    argv = [trace_file if arg == "TRACE" else arg for arg in argv] + ["--out", "out.csv"]
+    (["generate", "--config", "CONFIG"], ["synth", "trace"]),
+    (["validate", "--config", "CONFIG", "--t-grid", "lin:1000:5000:5", "--reps", "20"],
+     ["boxmodel", "synth", "trace"]),
+], ids=["simulate", "predict-box", "predict-classic", "shuffle-all", "generate",
+        "generate-config", "validate-config"])
+def test_each_command_loads_only_the_modules_it_runs(trace_file, pool_config, tmp_path,
+                                                     argv, modules):
+    files = {"TRACE": trace_file, "CONFIG": pool_config}
+    argv = [files.get(arg, arg) for arg in argv] + ["--out", "out.csv"]
     code, loaded, numpy_ma = run_probe(COMMAND_PROBE, *argv, cwd=tmp_path)
     assert code == 0
     assert loaded == sorted(modules + ["cli"])
-    if argv[0] != "generate":  # a size grid is parsed without numpy.ma
-        assert not numpy_ma
+    assert not numpy_ma  # neither a size grid nor a default warmup imports numpy.ma
 
 
 def test_package_import_loads_no_submodule_and_resolves_every_name(tmp_path):

@@ -4,10 +4,16 @@ rounded cache-size grid, exact stack distances, the CSV round trip, the
 two CSV tokenizers and the serializer against the stdlib csv module,
 session consolidation, the packed-key stable sort, the byte
 order of the id tables and the randomization invariants of the trace
-layer."""
+layer; the generator's default warmup against ``np.percentile``, the
+Monte Carlo counts against one ``bincount`` per window length, and the
+one-line manifests against their old indented rendering."""
 
 import csv
 import io
+import json
+import math
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -22,7 +28,14 @@ from cachechurn.boxmodel import (
 from cachechurn.estimators import build_joint_sample, estimate_catalog_rate
 from cachechurn.lrusim import _rounded_sizes, brute_force_lru, stack_distances
 from cachechurn.shuffle import randomize_global, randomize_local, randomize_positional
-from cachechurn import trace as trace_module
+from cachechurn import __version__, synth, trace as trace_module
+from cachechurn.cli import main
+from cachechurn.synth import (
+    WARMUP_TAU_PERCENTILE,
+    GeneratorConfig,
+    generate_box_trace,
+    monte_carlo_distinct_docs,
+)
 from cachechurn.trace import (
     build_trace,
     consolidate_sessions,
@@ -30,6 +43,8 @@ from cachechurn.trace import (
     serialize_trace,
     trace_stats,
 )
+
+from conftest import random_trace
 
 # floating-point slack of the bounds below; solve_n_prime stops at a
 # residual of 1e-10, so n' - 1 + exp(-n') may exceed n - 1 by that much
@@ -391,3 +406,104 @@ def test_randomization_invariants(requests, seed):
     assert all(np.diff(positional[d]).tolist() == np.diff(v).tolist() for d, v in before.items())
     local = times_by_doc(randomize_local(trace, seed))
     assert all((local[d][0], local[d][-1]) == (v[0], v[-1]) for d, v in before.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 5000), kind=st.sampled_from(["spread", "ties", "integers"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=2, kind="spread", seed=0)
+@example(n=501, kind="spread", seed=1)  # the interpolation weight is near 0.5 here
+@example(n=502, kind="ties", seed=2)
+@example(n=4000, kind="spread", seed=3)  # the benchmark's pool size
+@example(n=5000, kind="integers", seed=4)
+def test_default_warmup_is_percentile_bit_for_bit(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "spread":
+        taus = 10 ** rng.uniform(-3, 9, n)
+    elif kind == "ties":
+        taus = rng.choice(10 ** rng.uniform(0, 6, 3), n)
+    else:  # integer-valued floats
+        taus = rng.integers(1, 2**20, n).astype(float)
+    config = GeneratorConfig(1.0, 10, np.ones(n), taus)
+    assert_same_bits(config.warmup_ms, float(np.percentile(taus, WARMUP_TAU_PERCENTILE)))
+
+
+def distinct_by_bincount(trace, t_grid, min_requests):
+    """Per window length, the documents with `min_requests` requests
+    within [0, t]: one ``bincount`` of the requests up to t per t."""
+    counts = []
+    for t in t_grid:
+        upto = np.searchsorted(trace.timestamps, t, side="right")
+        counts.append(int(np.count_nonzero(np.bincount(trace.docs[:upto]) >= min_requests)))
+    return counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gamma=st.one_of(st.just(0.0), st.floats(1e-4, 0.05)),
+    window=st.integers(1, 2000),
+    pool=st.lists(st.tuples(st.floats(1e-3, 0.05), st.floats(1, 2000)), min_size=1,
+                  max_size=4),
+    warmup=st.one_of(st.none(), st.floats(0, 2000)),
+    inner=st.lists(st.floats(0, 1), max_size=6),
+    min_requests=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(gamma=0.0, window=50, pool=[(0.01, 10.0)], warmup=None, inner=[0.5], min_requests=1,
+         seed=0)  # no document is published: every trace is empty
+def test_monte_carlo_counts_match_bincount_per_t(gamma, window, pool, warmup, inner,
+                                                 min_requests, seed):
+    config = GeneratorConfig(gamma, window, *np.array(pool).T, warmup)
+    t_grid = [0.0, float(window)] + [f * window for f in inner]
+    traces = [generate_box_trace(config, np.random.SeedSequence([seed, rep]))
+              for rep in range(3)]
+    want = np.array([distinct_by_bincount(tr, sorted(t_grid), min_requests) for tr in traces])
+    mc = monte_carlo_distinct_docs(config, t_grid, 3, seed, min_requests)
+    assert_same_bits(mc.mean, want.mean(axis=0))
+    assert_same_bits(mc.stderr, want.std(axis=0, ddof=1) / math.sqrt(3))
+    for trace, counts in zip(traces, want):  # each count exactly: one trace for every rep
+        with mock.patch.object(synth, "generate_box_trace", lambda config, seed: trace):
+            mc = monte_carlo_distinct_docs(config, t_grid, 2, seed, min_requests)
+        assert mc.mean.tolist() == counts.tolist()
+
+
+def test_manifests_parse_to_their_indented_rendering(tmp_path, monkeypatch):
+    """Each subcommand's one-line manifest holds what the indented
+    rendering of the same keys and values held, the config echo included."""
+    monkeypatch.chdir(tmp_path)
+    with open("t.csv", "w", encoding="utf-8", newline="") as handle:
+        serialize_trace(random_trace(np.random.default_rng(8), 600, 50, with_users=True),
+                        handle)
+    rng = np.random.default_rng(5)
+    lams, taus = rng.uniform(0.002, 0.01, 40), rng.uniform(200, 2000, 40)
+    Path("pool.json").write_text(json.dumps(
+        {"gamma": 0.01, "window_ms": 5000, "pairs": np.column_stack((lams, taus)).tolist()}))
+
+    def config(gamma, window, lams, taus, warmup):
+        return {"gamma": gamma, "window_ms": window, "warmup_ms": warmup,
+                "pairs": [[float(l), float(t)] for l, t in zip(lams, taus)]}
+
+    trace = {"inputs": {"trace": "t.csv"}}
+    cases = [
+        (["simulate", "t.csv", "--sizes", "log:1:max:12"],
+         dict(trace, sizes="log:1:max:12", gap_ms=None)),
+        (["shuffle", "t.csv", "--sizes", "lin:1:max:6", "--seed", "3", "--gap-ms", "50"],
+         dict(trace, kind="all", seed=3, sizes="lin:1:max:6", gap_ms=50)),
+        (["predict", "t.csv", "--method", "classic", "--sizes", "log:1:20:8"],
+         dict(trace, method="classic", sizes="log:1:20:8", min_requests=2, gap_ms=None)),
+        (["generate", "--config", "pool.json", "--seed", "4"],
+         dict(seed=4, config=config(0.01, 5000, lams, taus,
+                                    float(np.percentile(taus, WARMUP_TAU_PERCENTILE))))),
+        (["validate", "--gamma", "0.002", "--window-ms", "2000", "--lambda", "0.001",
+          "--tau", "1000", "--t-grid", "1000,2000", "--reps", "20", "--seed", "1"],
+         dict(seed=1, reps=20, t_grid="1000,2000",
+              config=config(0.002, 2000, [0.001], [1000.0], 1000.0))),
+    ]
+    for argv, params in cases:
+        argv = argv + ["--out", f"{argv[0]}.out"]
+        assert main(argv) == 0
+        text = Path(f"{argv[0]}.out.manifest.json").read_text(encoding="utf-8")
+        assert text.endswith("}\n") and text.count("\n") == 1
+        old = {"tool": "cachechurn", "version": __version__, "subcommand": argv[0],
+               "argv": argv, "outputs": [f"{argv[0]}.out"], **params}
+        assert json.loads(text) == json.loads(json.dumps(old, indent=2, sort_keys=True) + "\n")

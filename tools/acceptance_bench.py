@@ -24,10 +24,13 @@ counts towards every later stage.
 Before those stages it times whole CLI children, ``python -m cachechurn``
 with ``--version``, ``generate``, ``simulate``, ``predict --method box``
 and ``predict --method classic``, on the same config at gamma = 1e-4 per
-ms (0.28 M requests) and the same 1 % to 40 % grid of its documents. The
-children run ``CLI_RUNS`` rounds, one of each command per round, and the
-JSON gets each one's wall times, their median and its peak RSS
-(``os.wait4``). They are started through ``bench/launcher.py``, which
+ms (0.28 M requests) and the same 1 % to 40 % grid of its documents, and
+``validate`` on that config with a 1e6 ms window, ``--t-grid
+lin:100000:1000000:10`` and 50 replications. Their configs give no
+``warmup_ms``, as the benchmark's sampler writes them, so each child
+computes the default warmup. The children run ``CLI_RUNS`` rounds, one
+of each command per round, and the JSON gets each one's wall times,
+their median and its peak RSS (``os.wait4``). They are started through ``bench/launcher.py``, which
 is itself started while this process is small, because a child's peak
 RSS counts the peak of the process it was forked from.
 
@@ -72,6 +75,14 @@ def acceptance_config(gamma: float = 1e-3) -> GeneratorConfig:
     return GeneratorConfig(gamma, 3 * 10**7, lambdas, taus)
 
 
+def cli_config(window: int) -> str:
+    """The CLI children's config document at gamma = CLI_GAMMA, without
+    `warmup_ms`."""
+    document = acceptance_config(CLI_GAMMA).to_dict()
+    del document["warmup_ms"]
+    return json.dumps(dict(document, window_ms=window))
+
+
 def cli_children(work: Path) -> dict:
     """Wall times and peak RSS of the CLI children at gamma = CLI_GAMMA."""
     launcher = subprocess.Popen([sys.executable, str(ROOT / "bench" / "launcher.py")],
@@ -91,8 +102,8 @@ def cli_children(work: Path) -> dict:
         return result
 
     try:
-        (work / "config.json").write_text(acceptance_config(CLI_GAMMA).to_json(),
-                                          encoding="utf-8")
+        (work / "config.json").write_text(cli_config(3 * 10**7), encoding="utf-8")
+        (work / "mc_config.json").write_text(cli_config(10**6), encoding="utf-8")
         generate = ["generate", "--config", "config.json", "--seed", str(SEED), "--out"]
         run(generate + ["trace.csv"])
         trace = parse_trace(str(work / "trace.csv"))
@@ -105,6 +116,9 @@ def cli_children(work: Path) -> dict:
             "predict_box": ["predict", "trace.csv", "--method", "box", *grid, "--out", "box.csv"],
             "predict_classic": ["predict", "trace.csv", "--method", "classic", *grid,
                                 "--out", "classic.csv"],
+            "validate": ["validate", "--config", "mc_config.json", "--t-grid",
+                         "lin:100000:1000000:10", "--reps", "50", "--seed", str(SEED),
+                         "--out", "validate.csv"],
         }
         results = {name: [] for name in commands}
         for _ in range(CLI_RUNS):
