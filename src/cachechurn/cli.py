@@ -219,12 +219,14 @@ def _cmd_predict(args, argv) -> int:
 
     trace = _load_trace(args.trace, None, args.gap_ms)
     sizes = _parse_grid_spec(args.sizes, max(trace.distinct_docs, 1))
+    ts = trace.timestamps
+    if not len(ts):
+        raise ValueError("the trace has no requests to predict from")
     if args.method == "classic":
         counts = [count for _, count in rank_frequency(trace)]
         curve = irm_che_curve(counts, trace.window.length, sizes)
     else:
-        ts = trace.timestamps
-        if len(ts) and ts[0] == ts[-1]:
+        if ts[0] == ts[-1]:
             raise ValueError(f"every request is at {ts[0]} ms: a trace that spans 0 ms has "
                              "no lifespan or rate for the box model to estimate")
         summary = trace_stats(trace)

@@ -20,7 +20,7 @@ from typing import Dict, Sequence, Union
 
 import numpy as np
 
-from .trace import Trace, _stable_order
+from .trace import _BLOCK, Trace, _stable_order
 
 __all__ = [
     "StackDistanceProfile",
@@ -73,8 +73,10 @@ class StackDistanceProfile:
 
     def hits_at(self, sizes: Sequence[int]) -> np.ndarray:
         """Number of requests with stack distance <= C, per cache size C."""
-        finite = np.sort(self.distances[self.distances >= 0])
-        return np.searchsorted(finite, np.asarray(sizes), side="right")
+        sizes, finite = np.asarray(sizes), self.distances[self.distances >= 0]
+        top = min(int(sizes.max(initial=0)), int(finite.max(initial=0))) + 1
+        hits = np.cumsum(np.bincount(np.minimum(finite, top, out=finite), minlength=top + 1))
+        return hits[np.clip(sizes, 0, top - 1)]  # no distance is 0, so no size < 1 hits
 
 
 @dataclass(frozen=True)
@@ -132,10 +134,11 @@ def stack_distances(trace: Trace) -> StackDistanceProfile:
     ``#{j < i : v[j] < v[i]} - v[i] + 1``.
 
     These prefix rank counts are answered together by a wavelet matrix
-    over ``v`` (Claude, Navarro & Ordonez, 2015). For each bit of ``v``,
-    from the top, one stable 0/1 partition of the values, one cumulative
-    count of zeros and two gathers move every query's prefix range to the
-    next level; no Python code runs per request. O(M log M) time for M
+    over ``v`` (Claude, Navarro & Ordonez, 2015). The upper end of query
+    ``[0, i)`` is where ``v[i]`` stands in each level's order, so a level
+    takes one cumulative count of zeros, one gather of it and one scatter
+    of each value's next bit; a lower end depends only on the bits above
+    the level, so a table per prefix holds it. O(M log M) time for M
     requests, in a few int32 working arrays (int64 from 2**31 requests).
 
     Parameters
@@ -152,45 +155,42 @@ def stack_distances(trace: Trace) -> StackDistanceProfile:
     codes = trace.docs[order]
     prev = order[:-1] + 1  # candidate v of the request that follows in `order`
     prev *= codes[1:] == codes[:-1]
-    del codes  # free each array when done: the peak is about 48 bytes a request
+    del codes  # free each array when done: the peak is about 29 bytes a request
     v = np.zeros(m, dtype=idx)
     v[order[1:]] = prev
     del order, prev
 
-    cur, nxt, rank, masked = v.copy(), np.empty_like(v), np.empty_like(v), np.empty_like(v)
-    zero, one = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
+    levels = max(m - 1, 0).bit_length()  # v < m
+    pos = np.arange(m, dtype=idx)  # where each value stands in the level's order
+    zero = np.less(v, 1 << levels >> 1)  # the level's bits, 0 as True, in that order
     rank0 = np.zeros(m + 1, dtype=idx)  # zeros among the first j values
-    lo, hi = np.zeros(m, dtype=idx), np.arange(m, dtype=idx)  # query i: [0, i)
     below = np.zeros(m, dtype=idx)
-    for level in reversed(range(max(m - 1, 0).bit_length())):  # v < m
-        bit = 1 << level
-        np.bitwise_and(cur, bit, out=rank)
-        np.equal(rank, 0, out=zero)
+    # per prefix of the bits above the level: its node's start, and the zeros
+    # before the starts where the prefix has a 1, which the lower ends count
+    start = lower = np.zeros(1, dtype=idx)
+    for level in reversed(range(levels)):
         np.cumsum(zero, dtype=idx, out=rank0[1:])
         z = rank0[m]
-        np.compress(zero, cur, out=nxt[:z])
-        np.logical_not(zero, out=zero)
-        np.compress(zero, cur, out=nxt[z:])
-        cur, nxt = nxt, cur
-        # a query whose threshold has this bit set counts the zeros of its
-        # range and moves to the ones, at z + (end - rank); otherwise it
-        # moves to the zeros, at rank. Both as one sum, which is faster
-        # than masked ufuncs: rank + one * (z + end - 2 * rank).
-        np.bitwise_and(v, bit, out=rank)
-        np.not_equal(rank, 0, out=one)
-        for end, sign in ((lo, np.subtract), (hi, np.add)):
-            np.take(rank0, end, out=rank, mode="clip")
-            np.multiply(rank, one, out=masked)
-            sign(below, masked, out=below)
-            end += z
-            end *= one
-            end += rank
-            end -= masked
-            end -= masked
-    del cur, nxt, rank, masked, zero, one, rank0, lo, hi
+        r, size = rank0[start], ((m - 1) >> level) + 1
+        lower = np.column_stack((lower, lower + r)).ravel()[:size]
+        start = np.column_stack((r, start - r + z)).ravel()[:size] if level else None
+        for lo in range(0, m, _BLOCK):
+            p, u = pos[lo:lo + _BLOCK], v[lo:lo + _BLOCK]
+            r, one = np.take(rank0, p), u >> level
+            one &= 1
+            # a value with this bit set counts the zeros before it and moves
+            # to the ones, at z + p - r; any other moves to the zeros, at r.
+            # As one sum, which is faster than masked ufuncs.
+            p += z - 2 * r
+            p *= one
+            p += r
+            below[lo:lo + _BLOCK] += r * one
+            if level:  # the next level's bits, each to its value's new place
+                zero[p] = u & (1 << level >> 1) == 0
+    del pos, zero, rank0, start
 
-    below -= v
-    below += 1
+    below -= lower[v]
+    below -= v - 1
     dist = below.astype(np.int64)
     dist[v == 0] = -1
     return StackDistanceProfile(dist)

@@ -174,8 +174,8 @@ def run_semi_experiments(
     randomized = {}
     mare_values = {}
     for kind in RANDOMIZATION_KINDS:
-        shuffled = _RANDOMIZERS[kind](trace, seed)
-        curve = hit_ratio_curve(shuffled, sizes)
+        # each randomized trace goes with its curve, before the next is drawn
+        curve = hit_ratio_curve(_RANDOMIZERS[kind](trace, seed), sizes)
         randomized[kind] = curve
         try:
             mare_values[kind] = mare(original, curve)

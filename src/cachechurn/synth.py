@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .trace import Trace, _make_trace, _stable_order
+from .trace import _BLOCK, Trace, _make_trace, _stable_order
 
 __all__ = [
     "DocumentProfile",
@@ -153,8 +153,8 @@ class Population:
 
     `counts` holds each document's full-lifespan Poisson request count;
     `req_doc`/`req_times` flatten all requests (continuous times, possibly
-    outside the observation window) with `req_doc` indexing into the
-    per-document arrays.
+    outside the observation window) with `req_doc`, int32 (int64 from
+    2**31 documents), indexing into the per-document arrays.
     """
 
     arrivals: np.ndarray
@@ -185,13 +185,13 @@ def sample_population(config: GeneratorConfig, rng: np.random.Generator) -> Popu
         lam = config.lambdas[idx]
         tau = config.taus[idx]
     counts = rng.poisson(lam * tau)
-    req_doc = np.repeat(np.arange(n_docs), counts)
-    req_times = arrivals[req_doc] + rng.random(len(req_doc)) * tau[req_doc]
+    req_doc = np.repeat(np.arange(n_docs, dtype=np.int32 if n_docs < 2**31 else np.int64), counts)
+    req_times = rng.random(len(req_doc))
+    for lo in range(0, len(req_doc), _BLOCK):  # arrival + u * tau, in place
+        doc = req_doc[lo:lo + _BLOCK]
+        req_times[lo:lo + _BLOCK] *= np.take(tau, doc)
+        req_times[lo:lo + _BLOCK] += np.take(arrivals, doc)
     return Population(arrivals, lam, tau, counts, req_doc, req_times)
-
-
-def _round_half_up(x: np.ndarray) -> np.ndarray:
-    return np.floor(x + 0.5).astype(np.int64)
 
 
 def _indexed_trace(times, doc_idx, n_docs: int, window: int) -> Trace:
@@ -214,11 +214,15 @@ def generate_box_trace(config: GeneratorConfig, seed) -> Trace:
     times are rounded half-up to integer milliseconds. Deterministic for a
     fixed seed (an int, or a pre-built ``numpy.random.SeedSequence``).
     """
-    rng = np.random.default_rng(seed)
-    pop = sample_population(config, rng)
-    inside = (pop.req_times >= 0) & (pop.req_times <= config.window)
-    times = _round_half_up(pop.req_times[inside])
-    return _indexed_trace(times, pop.req_doc[inside], len(pop.arrivals), config.window)
+    pop = sample_population(config, np.random.default_rng(seed))
+    times, docs, n_docs = pop.req_times, pop.req_doc, len(pop.arrivals)
+    del pop  # so each request column is held once
+    inside = (times >= 0) & (times <= config.window)
+    docs = docs[inside]
+    times = times[inside]
+    del inside
+    times = np.floor(times + 0.5, out=times).astype(np.int64)
+    return _indexed_trace(times, docs, n_docs, config.window)
 
 
 def generate_irm_trace(

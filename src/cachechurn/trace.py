@@ -151,6 +151,8 @@ class TraceSummary:
 #: Bytes of CSV the byte scan, and the serializer, take at a time, so their
 #: working arrays stay a small multiple of this whatever the trace's size.
 _BLOCK_BYTES = 1 << 18
+#: Requests per block of a pass whose temporaries would otherwise span a column.
+_BLOCK = 1 << 15
 #: Rows the csv reader checks together: one bad row sends a batch through
 #: the row-by-row checks that name it.
 _BATCH_ROWS = 512
@@ -246,8 +248,8 @@ def _stable_order(keys: np.ndarray) -> np.ndarray:
     words = keys.astype(np.uint64)  # a negative key wraps, and the difference wraps back
     words -= np.uint64(low % 2**64)
     words <<= np.uint64(bits)
-    for lo in range(0, n, _BLOCK_BYTES):  # no full-length index temporary
-        words[lo:lo + _BLOCK_BYTES] |= np.arange(lo, min(lo + _BLOCK_BYTES, n), dtype=np.uint64)
+    for lo in range(0, n, _BLOCK):  # no full-length index temporary
+        words[lo:lo + _BLOCK] |= np.arange(lo, min(lo + _BLOCK, n), dtype=np.uint64)
     words.sort()
     words &= np.uint64((1 << bits) - 1)
     return words.view(np.int64)
@@ -260,12 +262,14 @@ def _make_trace(
     ascending order (entries no code uses may be anything): sort the events
     stably by time, and keep the used names. Every Trace is built here;
     every table is made in order where it is created (see
-    :func:`_byte_order`), never sorted again."""
+    :func:`_byte_order`), never sorted again. An int64 `timestamps` array
+    out of order is sorted in place: every caller hands over one it owns."""
     ts = np.asarray(timestamps, dtype=np.int64)
     if (ts[1:] < ts[:-1]).any():  # else already in order, and no copies are made
         order = _stable_order(ts)
-        ts, docs, users = ts[order], docs[order], None if users is None else users[order]
+        docs, users = docs[order], None if users is None else users[order]
         del order  # before the recoding, which copies each id column
+        ts.sort()
     if window_length is None:
         window_length = max(int(ts[-1]) if len(ts) else 0, 1)
     docs, doc_names = _compact(docs, doc_names)

@@ -78,8 +78,8 @@ def test_simulate_empty_trace_is_validation_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["shuffle", "--kind", "all"], "semi-experiments require a non-empty trace"),
-    (["predict", "--method", "box"], "no estimable documents"),
-    (["predict", "--method", "classic"], "doc_counts must be positive"),
+    (["predict", "--method", "box"], "the trace has no requests"),
+    (["predict", "--method", "classic"], "the trace has no requests"),
 ])
 def test_header_only_trace_is_input_error(tmp_path, capsys, argv, message):
     path = tmp_path / "empty.csv"

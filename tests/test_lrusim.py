@@ -7,6 +7,7 @@ import pytest
 
 from cachechurn.lrusim import (
     HitRatioCurve,
+    StackDistanceProfile,
     brute_force_lru,
     hit_ratio_curve,
     log_size_grid,
@@ -63,6 +64,11 @@ def test_stack_distances_every_length(rng, m):
     prof = stack_distances(tr)
     assert prof.distances.dtype == np.int64
     assert list(prof.distances) == naive_stack_distances(docs)
+    # the first document returns only at the last request: the smallest
+    # repeat value, 1, at the last position
+    docs = ["first"] + docs[1:-1] + ["first"] * (m > 1)
+    prof = stack_distances(build_trace(np.arange(len(docs)), docs))
+    assert list(prof.distances) == naive_stack_distances(docs)
 
 
 def test_stack_distances_all_distinct():
@@ -84,8 +90,8 @@ def test_stack_distances_equal_timestamps(rng):
 
 
 def test_stack_distances_memory_budget(rng):
-    # int32 working arrays peak near 46 bytes a request; int64 ones near 83,
-    # which shows in the peak RSS of every simulation
+    # int32 working arrays peak near 30 bytes a request; int64 ones would
+    # take about twice that, which shows in the peak RSS of every simulation
     tr = random_trace(rng, 2**17, 5000)
     tracemalloc.start()
     try:
@@ -94,6 +100,19 @@ def test_stack_distances_memory_budget(rng):
     finally:
         tracemalloc.stop()
     assert peak <= 64 * len(tr)
+    assert peak <= 34 * len(tr)
+
+
+@pytest.mark.parametrize("sizes", [[1, 3, 2], [5, 0, -2, 1], [10**12, 4, 2**40], []])
+@pytest.mark.parametrize("distances", [
+    [-1, -1, 1, 2, 1, -1, 3, 2],
+    [-1, -1, -1],  # no finite distance
+    [],
+])
+def test_hits_at_counts_distances_up_to_each_size(sizes, distances):
+    prof = StackDistanceProfile(np.array(distances, dtype=np.int64))
+    expected = [sum(0 <= d <= c for d in distances) for c in sizes]
+    assert prof.hits_at(np.array(sizes, dtype=np.int64)).tolist() == expected
 
 
 def test_hit_ratio_aba():

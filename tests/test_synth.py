@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -61,6 +63,20 @@ def test_box_trace_timestamps_inside_window():
     tr = generate_box_trace(config, seed=9)
     assert tr.timestamps.min() >= 0
     assert tr.timestamps.max() <= 5000
+
+
+def test_generate_box_trace_memory_budget():
+    # each request column is held once: the population's, then the window's
+    config = GeneratorConfig(1e-4, 10**7, np.array([8e-5, 4e-4]), np.array([2e5, 1e6]))
+    generate_box_trace(config, 1)  # numpy.random loads its modules on first use
+    tracemalloc.start()
+    try:
+        trace = generate_box_trace(config, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) >= 10**5
+    assert peak <= 30 * len(trace)
 
 
 def test_population_requests_inside_lifespans():

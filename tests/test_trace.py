@@ -306,6 +306,11 @@ def test_build_trace_copies_timestamps():
     tr = build_trace(ts, ["a", "b", "a"])
     ts[0] = 5
     assert tr.timestamps.tolist() == [0, 1, 2]
+    # the Trace's timestamps are sorted in place, in its own copy
+    ts = np.array([2, 0, 1], dtype=np.int64)
+    tr = build_trace(ts, ["a", "b", "c"])
+    assert ts.tolist() == [2, 0, 1]
+    assert tr.timestamps.tolist() == [0, 1, 2] and doc_ids(tr).tolist() == ["b", "c", "a"]
 
 
 def test_trace_checks_its_id_invariant():

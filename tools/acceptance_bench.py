@@ -19,7 +19,10 @@ Each stage runs ``RUNS`` times. Prints one JSON object: per stage the
 wall times of its runs and their minimum, and ``ru_maxrss_mb``, this
 process's peak RSS after the stage's runs (it only grows, so it is the
 peak of every stage up to that one). The peak of the trace's own build
-counts towards every later stage.
+counts towards every later stage. So ``generate_box_trace`` and
+``stack_distances`` run once more each, under ``tracemalloc``, after their
+timed runs: ``peak_bytes_per_request`` is that run's own peak of numpy
+and Python allocations, divided by the trace's requests.
 
 Before those stages it times whole CLI children, ``python -m cachechurn``
 with ``--version``, ``generate``, ``simulate``, ``predict --method box``
@@ -34,6 +37,13 @@ their median and its peak RSS (``os.wait4``). They are started through ``bench/l
 is itself started while this process is small, because a child's peak
 RSS counts the peak of the process it was forked from.
 
+Then, through the same launcher, it runs ``generate`` once at gamma =
+1e-3 per ms, which writes the acceptance trace, and one ``simulate`` and
+one ``shuffle --kind all`` (seed 2024) on it, on the grid of the stages
+below (``log:305:12188:20``). ``acceptance_children`` gets each one's wall
+time and its peak RSS (``os.wait4``): the CLI numbers of the whole trace,
+measured rather than projected from the smaller one.
+
 Run from the repository root, with only numpy installed::
 
     PYTHONPATH=src python3 tools/acceptance_bench.py
@@ -46,6 +56,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +75,8 @@ RUNS = 3
 CLI_RUNS = 5
 CLI_GAMMA = 1e-4
 SEED = 2024
+#: 1 % to 40 % of the acceptance trace's 30,469 documents, 20 sizes
+ACCEPTANCE_GRID = "log:305:12188:20"
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -75,16 +88,16 @@ def acceptance_config(gamma: float = 1e-3) -> GeneratorConfig:
     return GeneratorConfig(gamma, 3 * 10**7, lambdas, taus)
 
 
-def cli_config(window: int) -> str:
-    """The CLI children's config document at gamma = CLI_GAMMA, without
-    `warmup_ms`."""
-    document = acceptance_config(CLI_GAMMA).to_dict()
+def cli_config(window: int, gamma: float = CLI_GAMMA) -> str:
+    """The CLI children's config document, without `warmup_ms`."""
+    document = acceptance_config(gamma).to_dict()
     del document["warmup_ms"]
     return json.dumps(dict(document, window_ms=window))
 
 
 def cli_children(work: Path) -> dict:
-    """Wall times and peak RSS of the CLI children at gamma = CLI_GAMMA."""
+    """Wall times and peak RSS of the CLI children at gamma = CLI_GAMMA,
+    and of those on the acceptance trace."""
     launcher = subprocess.Popen([sys.executable, str(ROOT / "bench" / "launcher.py")],
                                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -124,6 +137,15 @@ def cli_children(work: Path) -> dict:
         for _ in range(CLI_RUNS):
             for name, argv in commands.items():
                 results[name].append(run(argv))
+        (work / "acceptance.json").write_text(cli_config(3 * 10**7, 1e-3), encoding="utf-8")
+        grid = ["--sizes", ACCEPTANCE_GRID]
+        acceptance = {name: run(argv) for name, argv in (
+            ("generate", ["generate", "--config", "acceptance.json", "--seed", str(SEED),
+                          "--out", "acceptance.csv"]),
+            ("simulate", ["simulate", "acceptance.csv", *grid, "--out", "sim.csv"]),
+            ("shuffle_all", ["shuffle", "acceptance.csv", "--kind", "all", *grid,
+                             "--seed", str(SEED), "--out", "all.csv"]),
+        )}
     finally:
         launcher.stdin.close()
         launcher.wait()
@@ -132,7 +154,19 @@ def cli_children(work: Path) -> dict:
                        "peak_rss_mb": max(r["maxrss_kb"] for r in runs) / 1024}
                 for name, runs in results.items()}
     return {"gamma": CLI_GAMMA, "requests": len(trace), "docs": docs, "runs": CLI_RUNS,
-            "children": children}
+            "children": children,
+            "acceptance_children": {name: {"s": r["seconds"], "peak_rss_mb": r["maxrss_kb"] / 1024}
+                                    for name, r in acceptance.items()}}
+
+
+def traced_peak(fn, *args) -> int:
+    """The peak of the allocations `tracemalloc` sees in one call."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def main() -> dict:
@@ -157,6 +191,9 @@ def main() -> dict:
     sizes = np.unique(np.rint(np.geomspace(round(0.01 * docs), round(0.4 * docs), 20)))
     sizes = sizes.astype(np.int64)
     timed("stack_distances", stack_distances, trace)
+    for name, fn, args in (("generate_box_trace", generate_box_trace, (config, SEED)),
+                           ("stack_distances", stack_distances, (trace,))):
+        stages[name]["peak_bytes_per_request"] = traced_peak(fn, *args) / len(trace)
     for fn in (randomize_global, randomize_positional, randomize_local):
         timed(fn.__name__, fn, trace, SEED)
     timed("run_semi_experiments", run_semi_experiments, trace, sizes, SEED)
