@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +31,7 @@ import numpy as np
 # loads only those.
 from . import RANDOMIZATION_KINDS, __version__
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -222,6 +223,7 @@ def _cmd_predict(args, argv) -> int:
     ts = trace.timestamps
     if not len(ts):
         raise ValueError("the trace has no requests to predict from")
+    meta = None
     if args.method == "classic":
         counts = [count for _, count in rank_frequency(trace)]
         curve = irm_che_curve(counts, trace.window.length, sizes)
@@ -242,11 +244,13 @@ def _cmd_predict(args, argv) -> int:
                 {"cache_size": int(tc.cache_size), "t_c_ms": tc.t_c} for tc in times
             ],
         }
+    # the curve first, so an --out that cannot be written leaves no meta file
+    with open(args.out, "w", encoding="utf-8", newline="") as handle:
+        write_curve_csv(curve, handle)
+    if meta is not None:
         Path(f"{args.out}.meta.json").write_text(
             json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
-    with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        write_curve_csv(curve, handle)
     _write_manifest(
         args.out, "predict", argv,
         inputs={"trace": args.trace}, method=args.method, sizes=args.sizes,
@@ -281,7 +285,8 @@ def _cmd_validate(args, argv) -> int:
     rows = []
     worst = 0.0
     for t, ws, mean, stderr in zip(mc.t, np.atleast_1d(analytic), mc.mean, mc.stderr):
-        z = 0.0 if stderr == 0 and mean == ws else (mean - ws) / stderr
+        with np.errstate(divide="ignore"):  # a zero stderr off the mean is |z| = inf
+            z = 0.0 if stderr == 0 and mean == ws else (mean - ws) / stderr
         worst = max(worst, abs(z))
         rows.append((t, ws, mean, stderr, z))
 
@@ -396,7 +401,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, ValueError) as exc:  # ValueError: the library found the input unusable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:  # an input that asks for more memory than there is
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_IO
+
+
+def run() -> NoReturn:
+    """Process entry point of ``python -m cachechurn`` and the console
+    script: `main` on ``sys.argv``, then exit with its code. The freeze
+    moves every tracked object into the permanent generation, which the
+    interpreter's finalizing collections skip; atexit handlers and stream
+    flushes still run. In-process callers use `main`, which never freezes."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import os
@@ -33,6 +34,13 @@ def trace_file(tmp_path, rng):
 def read_rows(path):
     with open(path, encoding="utf-8", newline="") as handle:
         return list(csv.reader(handle))
+
+
+def run_cli(*argv, cwd=None):
+    """``python -m cachechurn argv`` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cachechurn.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "cachechurn", *map(str, argv)], cwd=cwd,
+                          env=env, capture_output=True, text=True)
 
 
 def test_simulate_writes_curve_and_manifest(trace_file, tmp_path):
@@ -350,6 +358,47 @@ def test_validate_detects_misspecified_model(tmp_path, capsys):
     assert "|z|" in capsys.readouterr().err
 
 
+def test_validate_zero_stderr_fails_without_a_warning():
+    # 1e-6 documents expected: every replication sees none, so the stderr is
+    # 0 and the mean misses the analytic value; |z| = inf, and no numpy warning
+    proc = run_cli("validate", "--gamma", "1e-9", "--window-ms", "1000", "--lambda", "0.01",
+                   "--tau", "100", "--t-grid", "500", "--reps", "3")
+    assert proc.returncode == 1
+    assert proc.stderr == "validation failed: max |z| = inf > 3\n"
+    assert proc.stdout.splitlines()[1].endswith(",0,0,-inf")
+
+
+def test_generate_beyond_memory_is_input_error(tmp_path, capsys):
+    # 1e18 documents: numpy refuses the 7 EiB array at once, touching no memory
+    out = tmp_path / "o.csv"
+    assert main(["generate", "--gamma", "1e15", "--window-ms", "1000", "--lambda", "1e-9",
+                 "--tau", "10", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: out of memory: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+GENERATOR_FLAGS = ["--gamma", "0.01", "--window-ms", "5000", "--lambda", "0.01", "--tau", "500"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "TRACE"],
+    ["predict", "TRACE", "--method", "box", "--sizes", "1,5,20"],
+    ["predict", "TRACE", "--method", "classic", "--sizes", "1,5,20"],
+    ["generate", *GENERATOR_FLAGS],
+    ["shuffle", "TRACE", "--kind", "all", "--sizes", "1,5,20"],
+    ["shuffle", "TRACE", "--kind", "local"],
+    ["validate", *GENERATOR_FLAGS, "--t-grid", "1000,5000", "--reps", "5"],
+], ids=["simulate", "predict-box", "predict-classic", "generate", "shuffle-all",
+        "shuffle-local", "validate"])
+def test_unwritable_out_writes_nothing(trace_file, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [str(trace_file) if a == "TRACE" else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.glob("out.*")) == []
+
+
 def test_validate_stdout_when_no_out(capsys):
     code = main(
         ["validate", "--gamma", "0.002", "--window-ms", "2000", "--lambda", "0.001",
@@ -368,6 +417,48 @@ def test_console_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["simulate", "TRACE", "--sizes", "1,5,20", "--out", "o.csv"], 0),
+    (["simulate", "TRACE", "--sizes", "nope", "--out", "o.csv"], 2),
+    (["simulate", "missing.csv", "--out", "o.csv"], 3),
+], ids=["ok", "usage", "io"])
+def test_module_entry_point_passes_the_exit_code(trace_file, tmp_path, argv, code):
+    proc = run_cli(*(trace_file if a == "TRACE" else a for a in argv), cwd=tmp_path)
+    assert proc.returncode == code, proc.stderr
+    assert (tmp_path / "o.csv").exists() == (code == 0)
+    if code == 0:
+        assert len(read_rows(tmp_path / "o.csv")) == 4
+
+
+def test_module_entry_point_writes_every_validate_row_to_stdout():
+    # piped stdout is block-buffered: the rows reach it at the exit flush
+    proc = run_cli("validate", "--gamma", "0.002", "--window-ms", "2000", "--lambda", "0.001",
+                   "--tau", "1000", "--t-grid", "lin:50:2000:40", "--reps", "5", "--seed", "1")
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.reader(io.StringIO(proc.stdout)))
+    assert rows[0] == ["t_ms", "psi_analytic", "mc_mean", "mc_stderr", "z_score"]
+    assert len(rows) == 41 and all(len(row) == 5 for row in rows)
+
+
+def test_module_entry_point_freezes_and_runs_atexit_handlers(tmp_path):
+    # a handler registered before the package runs is called after the
+    # freeze, which it sees; exiting by os._exit would skip it
+    probe = """
+import atexit, gc, json, runpy, sys
+atexit.register(lambda: print(json.dumps(gc.get_freeze_count() > 0)))
+sys.argv = ["cachechurn", "--version"]
+runpy.run_module("cachechurn", run_name="__main__", alter_sys=True)
+"""
+    assert run_probe(probe, cwd=tmp_path) is True
+
+
+def test_main_in_process_does_not_freeze(trace_file, tmp_path):
+    frozen = gc.get_freeze_count()
+    assert main(["simulate", str(trace_file), "--out", str(tmp_path / "o.csv")]) == 0
+    assert main(["--version"]) == 0
+    assert gc.get_freeze_count() == frozen
 
 
 #: Runs one command in a fresh interpreter and prints its exit code, the

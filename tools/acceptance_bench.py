@@ -25,17 +25,23 @@ timed runs: ``peak_bytes_per_request`` is that run's own peak of numpy
 and Python allocations, divided by the trace's requests.
 
 Before those stages it times whole CLI children, ``python -m cachechurn``
-with ``--version``, ``generate``, ``simulate``, ``predict --method box``
-and ``predict --method classic``, on the same config at gamma = 1e-4 per
-ms (0.28 M requests) and the same 1 % to 40 % grid of its documents, and
-``validate`` on that config with a 1e6 ms window, ``--t-grid
-lin:100000:1000000:10`` and 50 replications. Their configs give no
-``warmup_ms``, as the benchmark's sampler writes them, so each child
-computes the default warmup. The children run ``CLI_RUNS`` rounds, one
-of each command per round, and the JSON gets each one's wall times,
-their median and its peak RSS (``os.wait4``). They are started through ``bench/launcher.py``, which
-is itself started while this process is small, because a child's peak
-RSS counts the peak of the process it was forked from.
+with ``--version``, ``generate``, ``simulate``, ``predict --method box``,
+``predict --method classic`` and ``shuffle --kind all|local`` (seed
+2024), on the same config at gamma = 1e-4 per ms (0.28 M requests) and
+the same 1 % to 40 % grid of its documents, and ``validate`` on that
+config with a 1e6 ms window, ``--t-grid lin:100000:1000000:10`` and 50
+replications. Their configs give no ``warmup_ms``, as the benchmark's
+sampler writes them, so each child computes the default warmup. The
+children run ``CLI_RUNS`` rounds, one of each command per round, and the
+JSON gets each one's wall times, their median, its peak RSS
+(``os.wait4``) and its median ``teardown_s``: the time from the
+command's return to the child's reap. The child runs the package's
+``__main__`` through ``runpy`` after registering an atexit handler that
+writes ``time.monotonic()``; registered first, it runs last, after the
+command has returned and every other handler has run. The children are
+started through ``bench/launcher.py``'s ``run``, which notes the reap
+time; it is itself started while this process is small, because a
+child's peak RSS counts the peak of the process it was forked from.
 
 Then, through the same launcher, it runs ``generate`` once at gamma =
 1e-3 per ms, which writes the acceptance trace, and one ``simulate`` and
@@ -46,7 +52,10 @@ measured rather than projected from the smaller one.
 
 Run from the repository root, with only numpy installed::
 
-    PYTHONPATH=src python3 tools/acceptance_bench.py
+    PYTHONPATH=src python3 tools/acceptance_bench.py [OUT.json]
+
+With ``OUT.json`` (``BENCH_<n>.json`` at the root, one per change that
+measures) it also writes the JSON there.
 """
 
 import json
@@ -78,6 +87,29 @@ SEED = 2024
 #: 1 % to 40 % of the acceptance trace's 30,469 documents, 20 sizes
 ACCEPTANCE_GRID = "log:305:12188:20"
 ROOT = Path(__file__).resolve().parent.parent
+#: Starts ``bench/launcher.py``'s jobs and adds to each result the
+#: ``time.monotonic()`` right after the child was reaped.
+REAPER = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+from launcher import run
+for line in sys.stdin:
+    result = run(json.loads(line))
+    result["reaped"] = time.monotonic()
+    print(json.dumps(result), flush=True)
+"""
+#: ``python -m cachechurn`` on the arguments after the first, which names
+#: the file where the last atexit handler writes ``time.monotonic()``.
+STAMPED = """
+import atexit, runpy, sys, time
+
+def stamp(path=sys.argv.pop(1)):
+    with open(path, "w") as handle:
+        handle.write(repr(time.monotonic()))
+
+atexit.register(stamp)
+runpy.run_module("cachechurn", run_name="__main__", alter_sys=True)
+"""
 
 
 def acceptance_config(gamma: float = 1e-3) -> GeneratorConfig:
@@ -98,12 +130,13 @@ def cli_config(window: int, gamma: float = CLI_GAMMA) -> str:
 def cli_children(work: Path) -> dict:
     """Wall times and peak RSS of the CLI children at gamma = CLI_GAMMA,
     and of those on the acceptance trace."""
-    launcher = subprocess.Popen([sys.executable, str(ROOT / "bench" / "launcher.py")],
+    launcher = subprocess.Popen([sys.executable, "-c", REAPER, str(ROOT / "bench")],
                                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    stamp = work / "stamp"
 
     def run(argv):
-        job = {"cmd": [sys.executable, "-m", "cachechurn", *argv], "cwd": str(work),
+        job = {"cmd": [sys.executable, "-c", STAMPED, str(stamp), *argv], "cwd": str(work),
                "env": env, "stdout": os.devnull, "stderr": str(work / "stderr"),
                "timeout": 600}
         launcher.stdin.write(json.dumps(job) + "\n")
@@ -112,6 +145,7 @@ def cli_children(work: Path) -> dict:
         if result["code"] != 0:
             raise SystemExit(f"{argv[0]} exited {result['code']}: "
                              + (work / "stderr").read_text(errors="replace"))
+        result["teardown_s"] = result.pop("reaped") - float(stamp.read_text())
         return result
 
     try:
@@ -129,6 +163,10 @@ def cli_children(work: Path) -> dict:
             "predict_box": ["predict", "trace.csv", "--method", "box", *grid, "--out", "box.csv"],
             "predict_classic": ["predict", "trace.csv", "--method", "classic", *grid,
                                 "--out", "classic.csv"],
+            "shuffle_all": ["shuffle", "trace.csv", "--kind", "all", *grid,
+                            "--seed", str(SEED), "--out", "all.csv"],
+            "shuffle_local": ["shuffle", "trace.csv", "--kind", "local", "--seed", str(SEED),
+                              "--out", "local.csv"],
             "validate": ["validate", "--config", "mc_config.json", "--t-grid",
                          "lin:100000:1000000:10", "--reps", "50", "--seed", str(SEED),
                          "--out", "validate.csv"],
@@ -151,7 +189,8 @@ def cli_children(work: Path) -> dict:
         launcher.wait()
     children = {name: {"s": [r["seconds"] for r in runs],
                        "median_s": float(np.median([r["seconds"] for r in runs])),
-                       "peak_rss_mb": max(r["maxrss_kb"] for r in runs) / 1024}
+                       "peak_rss_mb": max(r["maxrss_kb"] for r in runs) / 1024,
+                       "teardown_s": float(np.median([r["teardown_s"] for r in runs]))}
                 for name, runs in results.items()}
     return {"gamma": CLI_GAMMA, "requests": len(trace), "docs": docs, "runs": CLI_RUNS,
             "children": children,
@@ -202,8 +241,11 @@ def main() -> dict:
     timed("box_hit_ratio_curve", box_hit_ratio_curve, sample, gamma_hat, sizes)
     return {"requests": len(trace), "docs": docs, "runs": RUNS, "stages": stages, "cli": cli,
             "cachechurn": cachechurn.__version__, "numpy": np.__version__,
-            "python": sys.version.split()[0]}
+            "python": sys.version.split()[0], "cpu_count": os.cpu_count()}
 
 
 if __name__ == "__main__":
-    print(json.dumps(main(), indent=2))
+    result = json.dumps(main(), indent=2)
+    print(result)
+    if len(sys.argv) > 1:
+        Path(sys.argv[1]).write_text(result + "\n", encoding="utf-8")
