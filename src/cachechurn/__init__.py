@@ -32,9 +32,8 @@ _EXPORTS = {
                  "box_working_set", "characteristic_time", "expected_hits_per_doc",
                  "irm_che_curve", "mean_expected_hits", "noise_working_set",
                  "repeat_doc_window_mean"),
-    "synth": ("DocumentProfile", "GeneratorConfig", "MonteCarloDistinct", "Population",
-              "generate_box_trace", "generate_irm_trace", "monte_carlo_distinct_docs",
-              "sample_population"),
+    "synth": ("GeneratorConfig", "MonteCarloDistinct", "Population", "generate_box_trace",
+              "generate_irm_trace", "monte_carlo_distinct_docs", "sample_population"),
 }
 _OWNERS = {name: module for module, names in _EXPORTS.items() for name in names}
 

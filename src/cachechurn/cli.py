@@ -18,10 +18,14 @@ such as a trace with no requests).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import gc
 import json
+import os
 import sys
+import warnings
+from functools import partial
 from pathlib import Path
 from typing import NoReturn, Optional, Sequence
 
@@ -120,19 +124,38 @@ def _load_trace(path: str, window: Optional[int], gap_ms: Optional[int]):
     return trace
 
 
-def _write_manifest(out_path: str, subcommand: str, argv: Sequence[str], **params):
-    manifest = {
-        "tool": "cachechurn",
-        "version": __version__,
-        "subcommand": subcommand,
-        "argv": list(argv),
-        "outputs": [out_path],
-    }
-    manifest.update(params)
+def _write_outputs(out: str, emit, subcommand: str, argv: Sequence[str], meta=None,
+                   **params) -> None:
+    """Write ``<out>.manifest.json`` (the invocation and `params`), then
+    ``<out>.meta.json`` when `meta` is given, then `out` by ``emit(handle)``,
+    each to a temporary file beside it; only once all are written are they
+    renamed into place, `out` last. A command that fails leaves none of them."""
+    manifest = dict(tool="cachechurn", version=__version__, subcommand=subcommand,
+                    argv=list(argv), outputs=[out], **params)
     # one line: without `indent`, json takes its C encoder
-    Path(f"{out_path}.manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    texts = {f"{out}.manifest.json": json.dumps(manifest, sort_keys=True) + "\n"}
+    if meta is not None:
+        texts[f"{out}.meta.json"] = json.dumps(meta, indent=2, sort_keys=True) + "\n"
+    files = [(path, lambda handle, text=text: handle.write(text))
+             for path, text in texts.items()] + [(out, emit)]
+    for path, _ in files:  # a rename would replace a device, a pipe or a directory
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise OSError(f"not a regular file: {path!r}")
+    temps, renamed = [], []
+    try:
+        for path, write in files:
+            temp = f"{path}.{os.getpid()}.tmp"  # "x": a new file, with a plain open's mode
+            with open(temp, "x", encoding="utf-8", newline="") as handle:
+                temps.append(temp)
+                write(handle)
+        for temp, (path, _) in zip(temps, files):
+            os.replace(temp, path)
+            renamed.append(path)
+    except BaseException:
+        for path in temps + renamed:
+            with contextlib.suppress(FileNotFoundError):  # a temporary file renamed
+                os.unlink(path)
+        raise
 
 
 def _generator_config(args) -> GeneratorConfig:
@@ -166,10 +189,8 @@ def _cmd_simulate(args, argv) -> int:
     trace = _load_trace(args.trace, None, args.gap_ms)
     sizes = _parse_grid_spec(args.sizes, max(trace.distinct_docs, 1))
     curve = hit_ratio_curve(trace, sizes)
-    with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        write_curve_csv(curve, handle)
-    _write_manifest(
-        args.out, "simulate", argv,
+    _write_outputs(
+        args.out, partial(write_curve_csv, curve), "simulate", argv,
         inputs={"trace": args.trace}, sizes=args.sizes, gap_ms=args.gap_ms,
     )
     return EXIT_OK
@@ -183,7 +204,8 @@ def _cmd_shuffle(args, argv) -> int:
     if args.kind == "all":
         sizes = _parse_grid_spec(args.sizes, max(trace.distinct_docs, 1))
         report = run_semi_experiments(trace, sizes, args.seed)
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+
+        def emit(handle):
             out = csv.writer(handle, lineterminator="\n")
             out.writerow(["kind", "cache_size", "relative_size", "hit_ratio"])
             for kind in ("original",) + RANDOMIZATION_KINDS:
@@ -192,6 +214,14 @@ def _cmd_shuffle(args, argv) -> int:
                 )
                 for c, r, h in curve.points:
                     out.writerow([kind, c, f"{r:.6g}", f"{h:.6g}"])
+    else:
+        emit = partial(serialize_trace, randomize(trace, args.kind, args.seed))
+    _write_outputs(
+        args.out, emit, "shuffle", argv,
+        inputs={"trace": args.trace}, kind=args.kind, seed=args.seed,
+        sizes=args.sizes, gap_ms=args.gap_ms,
+    )
+    if args.kind == "all":  # once the files are in place: a failed run prints only its error
         for kind in RANDOMIZATION_KINDS:
             value = report.mare_values[kind]
             if np.isnan(value):
@@ -200,15 +230,6 @@ def _cmd_shuffle(args, argv) -> int:
                       f"cache size {zero}", file=sys.stderr)
             else:
                 print(f"mare {kind} {value:.6g}", file=sys.stderr)
-    else:
-        shuffled = randomize(trace, args.kind, args.seed)
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            serialize_trace(shuffled, handle)
-    _write_manifest(
-        args.out, "shuffle", argv,
-        inputs={"trace": args.trace}, kind=args.kind, seed=args.seed,
-        sizes=args.sizes, gap_ms=args.gap_ms,
-    )
     return EXIT_OK
 
 
@@ -226,7 +247,11 @@ def _cmd_predict(args, argv) -> int:
     meta = None
     if args.method == "classic":
         counts = [count for _, count in rank_frequency(trace)]
-        curve = irm_che_curve(counts, trace.window.length, sizes)
+        with warnings.catch_warnings(record=True) as caught:  # as one stderr line each
+            warnings.simplefilter("always")
+            curve = irm_che_curve(counts, trace.window.length, sizes)
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
     else:
         if ts[0] == ts[-1]:
             raise ValueError(f"every request is at {ts[0]} ms: a trace that spans 0 ms has "
@@ -244,15 +269,8 @@ def _cmd_predict(args, argv) -> int:
                 {"cache_size": int(tc.cache_size), "t_c_ms": tc.t_c} for tc in times
             ],
         }
-    # the curve first, so an --out that cannot be written leaves no meta file
-    with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        write_curve_csv(curve, handle)
-    if meta is not None:
-        Path(f"{args.out}.meta.json").write_text(
-            json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-    _write_manifest(
-        args.out, "predict", argv,
+    _write_outputs(
+        args.out, partial(write_curve_csv, curve), "predict", argv, meta,
         inputs={"trace": args.trace}, method=args.method, sizes=args.sizes,
         min_requests=args.min_requests, gap_ms=args.gap_ms,
     )
@@ -265,10 +283,8 @@ def _cmd_generate(args, argv) -> int:
 
     config = _generator_config(args)
     trace = generate_box_trace(config, args.seed)
-    with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        serialize_trace(trace, handle)
-    _write_manifest(
-        args.out, "generate", argv,
+    _write_outputs(
+        args.out, partial(serialize_trace, trace), "generate", argv,
         seed=args.seed, config=config.to_dict(),
     )
     return EXIT_OK
@@ -299,10 +315,8 @@ def _cmd_validate(args, argv) -> int:
             )
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            emit(handle)
-        _write_manifest(
-            args.out, "validate", argv,
+        _write_outputs(
+            args.out, emit, "validate", argv,
             seed=args.seed, reps=args.reps, t_grid=args.t_grid,
             config=config.to_dict(),
         )

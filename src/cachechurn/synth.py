@@ -17,10 +17,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .trace import _BLOCK, Trace, _make_trace, _stable_order
+from .trace import _BLOCK, Trace, _compact, _make_trace, _stable_order
 
 __all__ = [
-    "DocumentProfile",
     "GeneratorConfig",
     "Population",
     "sample_population",
@@ -34,25 +33,6 @@ __all__ = [
 #: still be alive at its start. Taken as the 99.9th percentile of the
 #: lifespan pool, approximating a catalog that has been publishing forever.
 WARMUP_TAU_PERCENTILE = 99.9
-
-
-@dataclass(frozen=True)
-class DocumentProfile:
-    """One document of the box model: publication time, request rate and
-    lifespan. Requests arrive at constant rate `lam` on
-    ``[arrival, arrival + tau]`` and nowhere else."""
-
-    arrival: float
-    lam: float
-    tau: float
-
-    def __post_init__(self):
-        if self.lam <= 0 or self.tau <= 0:
-            raise ValueError("rate and lifespan must be positive")
-
-    @property
-    def mean_requests(self) -> float:
-        return self.lam * self.tau
 
 
 @dataclass(frozen=True)
@@ -194,17 +174,15 @@ def sample_population(config: GeneratorConfig, rng: np.random.Generator) -> Popu
     return Population(arrivals, lam, tau, counts, req_doc, req_times)
 
 
-def _indexed_trace(times, doc_idx, n_docs: int, window: int) -> Trace:
-    """The trace of requests to documents `doc_idx` of a catalog of
-    `n_docs`, each named ``d%08d`` after its index; only the names of
-    requested documents are formatted. Names of one width sort like their
-    indices, so the table is ascending as made: from 10**8 documents on,
-    every index is padded to the width of the largest."""
+def _indexed_trace(times, docs, used, n_docs: int, window: int) -> Trace:
+    """The trace of requests to documents `docs`, which index the catalog
+    indices `used` of a catalog of `n_docs` (see :func:`_compact`), each
+    document named ``d%08d`` after its catalog index. Names of one width
+    sort like their indices, so the table is ascending as made: from 10**8
+    documents on, every index is padded to the width of the largest."""
     width = max(8, len(str(n_docs - 1)))
-    names = np.empty(n_docs, dtype=object)
-    used = np.flatnonzero(np.bincount(doc_idx, minlength=n_docs))
-    names[used] = [f"d{i:0{width}d}" for i in used.tolist()]
-    return _make_trace(times, doc_idx, names, window_length=window)
+    names = np.array([f"d{i:0{width}d}" for i in used.tolist()], dtype=object)
+    return _make_trace(times, docs, names, window_length=window)
 
 
 def generate_box_trace(config: GeneratorConfig, seed) -> Trace:
@@ -218,11 +196,11 @@ def generate_box_trace(config: GeneratorConfig, seed) -> Trace:
     times, docs, n_docs = pop.req_times, pop.req_doc, len(pop.arrivals)
     del pop  # so each request column is held once
     inside = (times >= 0) & (times <= config.window)
-    docs = docs[inside]
+    docs, used = _compact(docs[inside], np.arange(n_docs))
     times = times[inside]
     del inside
     times = np.floor(times + 0.5, out=times).astype(np.int64)
-    return _indexed_trace(times, docs, n_docs, config.window)
+    return _indexed_trace(times, docs, used, n_docs, config.window)
 
 
 def generate_irm_trace(
@@ -243,7 +221,8 @@ def generate_irm_trace(
     rng = np.random.default_rng(seed)
     draws = rng.choice(len(weights), size=total_requests, p=weights / weights.sum())
     times = rng.integers(0, window + 1, size=total_requests)
-    return _indexed_trace(times, draws, len(weights), window)
+    draws, used = _compact(draws, np.arange(len(weights)))
+    return _indexed_trace(times, draws, used, len(weights), window)
 
 
 @dataclass(frozen=True)

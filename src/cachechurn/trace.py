@@ -122,7 +122,7 @@ def _check_ids(codes, names, n: int, what: str) -> None:
             and isinstance(names, np.ndarray) and names.dtype == object
             and (n == 0 or 0 <= codes.min() and codes.max() < len(names))
             and not np.any(names[1:] <= names[:-1])
-            and np.bincount(codes, minlength=len(names)).all()):
+            and _used(codes, len(names)).all()):
         raise ValueError(f"{what} ids must be int32 codes, one per request, "
                          "using every name of a strictly ascending object array")
 
@@ -176,15 +176,20 @@ def _intern(values, table: dict) -> np.ndarray:
     return np.fromiter(map(table.__getitem__, values), np.int32, len(values))
 
 
+def _used(codes: np.ndarray, size: int) -> np.ndarray:
+    """Whether each of `size` names is used by `codes`, marked a block at a
+    time, so no index copy of the whole column is made."""
+    used = np.zeros(size, bool)
+    for lo in range(0, len(codes), _BLOCK):
+        used[codes[lo:lo + _BLOCK]] = True
+    return used
+
+
 def _compact(codes: np.ndarray, names: np.ndarray):
-    """Codes recoded onto the names they use, which keep their order; a
-    table whose every name is used comes back as it is, with the codes as
-    int32 (copied only when they are not)."""
-    names = np.asarray(names, dtype=object)
-    counts = np.bincount(codes, minlength=len(names))
-    if counts.all():
-        return codes.astype(np.int32, copy=False), names
-    used = np.flatnonzero(counts)
+    """Codes into `names` recoded, as int32, onto the names they use, and
+    those names, which keep their order (the indices of a generator's
+    catalog stand for the names it has not formatted yet)."""
+    used = np.flatnonzero(_used(codes, len(names)))
     recode = np.zeros(len(names), dtype=np.int32)
     recode[used] = np.arange(len(used), dtype=np.int32)
     return recode[codes], names[used]
@@ -258,22 +263,20 @@ def _stable_order(keys: np.ndarray) -> np.ndarray:
 def _make_trace(
     timestamps, docs, doc_names, users=None, user_names=None, window_length=None
 ) -> Trace:
-    """Build a Trace from integer codes into tables of distinct names in
-    ascending order (entries no code uses may be anything): sort the events
-    stably by time, and keep the used names. Every Trace is built here;
-    every table is made in order where it is created (see
-    :func:`_byte_order`), never sorted again. An int64 `timestamps` array
-    out of order is sorted in place: every caller hands over one it owns."""
+    """Build a Trace from int32 codes into tables of distinct names in
+    ascending order, every name used: sort the events stably by time.
+    Every Trace is built here; every table is made complete and in order
+    where it is created (see :func:`_byte_order` and :func:`_compact`),
+    and the Trace checks it. An int64 `timestamps` array out of order is
+    sorted in place: every caller hands over one it owns."""
     ts = np.asarray(timestamps, dtype=np.int64)
     if (ts[1:] < ts[:-1]).any():  # else already in order, and no copies are made
         order = _stable_order(ts)
         docs, users = docs[order], None if users is None else users[order]
-        del order  # before the recoding, which copies each id column
+        del order
         ts.sort()
     if window_length is None:
         window_length = max(int(ts[-1]) if len(ts) else 0, 1)
-    docs, doc_names = _compact(docs, doc_names)
-    users, user_names = (None, None) if users is None else _compact(users, user_names)
     window = ObservationWindow(int(window_length))
     return Trace(ts, docs, doc_names, users, user_names, window)
 
@@ -386,7 +389,7 @@ def _assemble(ts, columns, lines, error, window_length: Optional[int]) -> Trace:
             tables.append(table)
             continue
         try:
-            tables.append(list(map(bytes.decode, table)))
+            tables.append(np.array(list(map(bytes.decode, table)), dtype=object))
         except UnicodeDecodeError:
             bad = [code for code, name in enumerate(table)
                    if name.decode("utf-8", "ignore").encode() != name]
@@ -595,10 +598,13 @@ def _group_ids(data: bytes, words: np.ndarray, starts: np.ndarray, ends: np.ndar
             differ |= word != word[twin]
         else:
             differ[rows] |= word != _word(words, starts[twin[rows]] + at, lengths[rows] - at)
-    if differ.any():
+    if differ.any():  # the split groups are dropped, and their ids numbered after the rest
         rows = np.flatnonzero(np.isin(group, group[differ]))
         split = _intern([data[lo:hi] for lo, hi in zip(starts[rows].tolist(),
                                                        ends[rows].tolist())], {})
+        keep = np.bincount(group[rows], minlength=len(first)) == 0
+        group = (np.cumsum(keep) - 1)[group]
+        first = first[keep]
         group[rows] = len(first) + split
         first = np.append(first, rows[np.unique(split, return_index=True)[1]])
     return group, starts[first], ends[first]
@@ -773,12 +779,11 @@ def extract_subtrace(trace: Trace, duration: int) -> Trace:
         ends = np.searchsorted(ts, ts + duration, side="right")
         lo = int(np.argmax(ends - np.arange(len(ts))))  # the first maximum
         hi = int(ends[lo])
-    # copies, so that the sub-trace shares no array with the trace
-    users = (None, None) if trace.users is None else (trace.users[lo:hi].copy(),
-                                                      trace.user_names.copy())
+    # only the names the sub-trace requests, in new arrays: it shares none with the trace
+    docs = _compact(trace.docs[lo:hi], trace.doc_names)
+    users = (None, None) if trace.users is None else _compact(trace.users[lo:hi], trace.user_names)
     # ts[lo:lo + 1] is the start, or empty with the trace
-    return _make_trace(ts[lo:hi] - ts[lo : lo + 1], trace.docs[lo:hi].copy(),
-                       trace.doc_names.copy(), *users, duration)
+    return _make_trace(ts[lo:hi] - ts[lo : lo + 1], *docs, *users, duration)
 
 
 def trace_stats(trace: Trace) -> TraceSummary:

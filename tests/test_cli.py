@@ -380,7 +380,7 @@ def test_generate_beyond_memory_is_input_error(tmp_path, capsys):
 GENERATOR_FLAGS = ["--gamma", "0.01", "--window-ms", "5000", "--lambda", "0.01", "--tau", "500"]
 
 
-@pytest.mark.parametrize("argv", [
+WRITING_COMMANDS = pytest.mark.parametrize("argv", [
     ["simulate", "TRACE"],
     ["predict", "TRACE", "--method", "box", "--sizes", "1,5,20"],
     ["predict", "TRACE", "--method", "classic", "--sizes", "1,5,20"],
@@ -390,6 +390,9 @@ GENERATOR_FLAGS = ["--gamma", "0.01", "--window-ms", "5000", "--lambda", "0.01",
     ["validate", *GENERATOR_FLAGS, "--t-grid", "1000,5000", "--reps", "5"],
 ], ids=["simulate", "predict-box", "predict-classic", "generate", "shuffle-all",
         "shuffle-local", "validate"])
+
+
+@WRITING_COMMANDS
 def test_unwritable_out_writes_nothing(trace_file, tmp_path, capsys, argv):
     out = tmp_path / "out"
     out.mkdir()
@@ -397,6 +400,65 @@ def test_unwritable_out_writes_nothing(trace_file, tmp_path, capsys, argv):
     assert main(argv + ["--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("error: ")
     assert list(tmp_path.glob("out.*")) == []
+
+
+def test_out_that_is_a_pipe_is_not_replaced(trace_file, tmp_path, capsys):
+    # the files are renamed into place, which would replace a pipe or a device
+    out = tmp_path / "out"
+    os.mkfifo(out)
+    assert main(["simulate", str(trace_file), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: not a regular file: {str(out)!r}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["out", "trace.csv"]
+    assert out.is_fifo()
+
+
+def assert_blocked_run_leaves_nothing(argv, blocking, trace_file, tmp_path, capsys):
+    """`argv` with --out out, where each name of `blocking` beside it is a
+    directory: the run exits 3 and leaves none of its files, neither <out>
+    nor one already renamed into place nor a temporary one."""
+    for name in blocking:
+        (tmp_path / name).mkdir()
+    argv = [str(trace_file) if a == "TRACE" else a for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(blocking | {"trace.csv"})
+
+
+@WRITING_COMMANDS
+def test_unwritable_manifest_leaves_no_output(trace_file, tmp_path, capsys, argv):
+    blocking = {"out.manifest.json"} | ({"out.meta.json"} if "box" in argv else set())
+    assert_blocked_run_leaves_nothing(argv, blocking, trace_file, tmp_path, capsys)
+
+
+def test_unwritable_meta_leaves_no_output(trace_file, tmp_path, capsys):
+    # the manifest is renamed into place before the meta file fails
+    argv = ["predict", "TRACE", "--method", "box", "--sizes", "1,5,20"]
+    assert_blocked_run_leaves_nothing(argv, {"out.meta.json"}, trace_file, tmp_path, capsys)
+
+
+def test_out_is_renamed_into_place_last(trace_file, tmp_path, monkeypatch):
+    # so <out> appears only once its meta file and manifest are in place
+    renamed = []
+    replace = os.replace
+    monkeypatch.setattr(os, "replace", lambda src, dst: (renamed.append(dst), replace(src, dst)))
+    out = str(tmp_path / "out")
+    assert main(["predict", str(trace_file), "--sizes", "1,5,20", "--out", out]) == 0
+    assert sorted(renamed[:-1]) == [f"{out}.manifest.json", f"{out}.meta.json"]
+    assert renamed[-1] == out
+    # each file has the mode that a plain open gives, as the trace file has
+    assert {os.stat(path).st_mode for path in renamed} == {os.stat(trace_file).st_mode}
+
+
+def test_predict_classic_clamp_warning_is_one_line(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("timestamp_ms,doc_id\n0,a\n5,b\n9,a\n")
+    proc = run_cli("predict", path, "--method", "classic", "--sizes", "5", "--out", "o",
+                   cwd=tmp_path)
+    assert proc.returncode == 0
+    assert proc.stderr == ("warning: cache sizes >= document count clamped to the "
+                           "cold-miss ceiling\n")
+    assert read_rows(tmp_path / "o") == [["cache_size", "relative_size", "hit_ratio"],
+                                         ["5", "2.5", "0.333333"]]
 
 
 def test_validate_stdout_when_no_out(capsys):
@@ -527,4 +589,4 @@ print(json.dumps([bare, unresolved, len(cachechurn.__all__), star]))
 """
     bare, unresolved, count, star = run_probe(probe, cwd=tmp_path)
     assert bare == [] and unresolved == []
-    assert count == 49 and star == sorted(cachechurn.__all__)
+    assert count == 48 and star == sorted(cachechurn.__all__)

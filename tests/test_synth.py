@@ -6,7 +6,6 @@ from scipy import stats
 
 from cachechurn.boxmodel import box_working_set
 from cachechurn.synth import (
-    DocumentProfile,
     GeneratorConfig,
     generate_box_trace,
     generate_irm_trace,
@@ -14,13 +13,6 @@ from cachechurn.synth import (
     sample_population,
 )
 from cachechurn.trace import trace_stats
-
-
-def test_profile_mean_requests():
-    p = DocumentProfile(arrival=-5.0, lam=0.05, tau=2000.0)
-    assert p.mean_requests == pytest.approx(100.0)
-    with pytest.raises(ValueError):
-        DocumentProfile(arrival=0.0, lam=0.0, tau=1.0)
 
 
 def test_zero_gamma_gives_empty_trace():

@@ -360,13 +360,36 @@ def test_extract_subtrace_shares_no_memory(duration):
         assert not np.shares_memory(getattr(sub, field), getattr(tr, field))
 
 
-def test_compact_keeps_a_table_whose_every_name_is_used():
+def test_compact_keeps_the_used_names():
+    # int64 codes, as generated, into a catalog's indices, or into names
+    codes, used = trace_module._compact(np.array([4, 0, 4, 2]), np.arange(5))
+    assert codes.dtype == np.int32 and codes.tolist() == [2, 0, 2, 1]
+    assert used.tolist() == [0, 2, 4]
     names = np.array(["a", "b", "c"], dtype=object)
-    codes, table = trace_module._compact(np.array([2, 0, 1, 0]), names)  # int64, as generated
-    assert codes.dtype == np.int32 and codes.tolist() == [2, 0, 1, 0]
-    assert table is names
-    int32 = np.array([1, 0, 2], np.int32)
-    assert trace_module._compact(int32, names)[0] is int32  # no recode copy
-    codes, table = trace_module._compact(np.array([2, 0, 2], np.int32), names)
-    assert codes.dtype == np.int32 and codes.tolist() == [1, 0, 1]
-    assert table.tolist() == ["a", "c"]
+    codes, table = trace_module._compact(np.array([2, 2]), names)
+    assert codes.dtype == np.int32 and codes.tolist() == [0, 0] and table.tolist() == ["c"]
+    codes, table = trace_module._compact(np.zeros(0, np.int32), names)
+    assert codes.dtype == np.int32 and len(codes) == 0 and len(table) == 0
+
+
+@pytest.mark.parametrize("collide", [False, True], ids=["two-ids-hash-alike", "all-ids-hash-alike"])
+def test_byte_scan_tables_hold_each_used_id_once(monkeypatch, collide):
+    # "b" and "a\0" hash alike; a multiplier of 0 makes every id collide, in
+    # each 16-byte block and again when the blocks' tables are merged: a
+    # group the split empties leaves no entry behind
+    data = b"timestamp_ms,doc_id\n0,b\n1,a\x00\n"
+    if collide:
+        data = b"timestamp_ms,doc_id,user_id\n3,bb,u\n1,a,u\n2,a\x00,v\n4,a,w\n5,bb,v\n"
+        monkeypatch.setattr(trace_module, "_MIX", np.uint64(0))
+        monkeypatch.setattr(trace_module, "_BLOCK_BYTES", 16)
+    _, columns, _, _ = trace_module._scan(data)
+    for codes, table in columns:
+        assert len(set(table)) == len(table)
+        assert sorted(set(codes.tolist())) == list(range(len(table)))
+    assert columns[0][1].tolist() == (["a", "a\x00", "bb"] if collide else ["a\x00", "b"])
+
+
+def test_make_trace_does_not_repair_a_table():
+    names = np.array(["a", "b", "c"], dtype=object)
+    with pytest.raises(ValueError, match="doc ids must be"):
+        trace_module._make_trace(np.array([0, 1]), np.array([0, 2], np.int32), names)

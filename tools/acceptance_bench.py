@@ -19,10 +19,11 @@ Each stage runs ``RUNS`` times. Prints one JSON object: per stage the
 wall times of its runs and their minimum, and ``ru_maxrss_mb``, this
 process's peak RSS after the stage's runs (it only grows, so it is the
 peak of every stage up to that one). The peak of the trace's own build
-counts towards every later stage. So ``generate_box_trace`` and
-``stack_distances`` run once more each, under ``tracemalloc``, after their
-timed runs: ``peak_bytes_per_request`` is that run's own peak of numpy
-and Python allocations, divided by the trace's requests.
+counts towards every later stage. So ``generate_box_trace``,
+``stack_distances`` and ``randomize_global`` run once more each, under
+``tracemalloc``, after their timed runs: ``peak_bytes_per_request`` is
+that run's own peak of numpy and Python allocations, divided by the
+trace's requests.
 
 Before those stages it times whole CLI children, ``python -m cachechurn``
 with ``--version``, ``generate``, ``simulate``, ``predict --method box``,
@@ -49,6 +50,10 @@ one ``shuffle --kind all`` (seed 2024) on it, on the grid of the stages
 below (``log:305:12188:20``). ``acceptance_children`` gets each one's wall
 time and its peak RSS (``os.wait4``): the CLI numbers of the whole trace,
 measured rather than projected from the smaller one.
+
+The JSON also gets the code size: ``src_lines``, the lines of
+``src/cachechurn/*.py``, and ``exports``, the number of names in
+``cachechurn.__all__``.
 
 Run from the repository root, with only numpy installed::
 
@@ -235,11 +240,16 @@ def main() -> dict:
         stages[name]["peak_bytes_per_request"] = traced_peak(fn, *args) / len(trace)
     for fn in (randomize_global, randomize_positional, randomize_local):
         timed(fn.__name__, fn, trace, SEED)
+    stages["randomize_global"]["peak_bytes_per_request"] = (
+        traced_peak(randomize_global, trace, SEED) / len(trace))
     timed("run_semi_experiments", run_semi_experiments, trace, sizes, SEED)
     sample = build_joint_sample(trace)
     gamma_hat = estimate_catalog_rate(trace_stats(trace), trace.window.length)
     timed("box_hit_ratio_curve", box_hit_ratio_curve, sample, gamma_hat, sizes)
+    src_lines = sum(path.read_bytes().count(b"\n")
+                    for path in (ROOT / "src" / "cachechurn").glob("*.py"))
     return {"requests": len(trace), "docs": docs, "runs": RUNS, "stages": stages, "cli": cli,
+            "src_lines": src_lines, "exports": len(cachechurn.__all__),
             "cachechurn": cachechurn.__version__, "numpy": np.__version__,
             "python": sys.version.split()[0], "cpu_count": os.cpu_count()}
 
