@@ -115,10 +115,10 @@ def _check_flag_ranges(args) -> None:
             raise _UsageError(f"{flag} must be {bound}, got {value}")
 
 
-def _load_trace(path: str, window: Optional[int], gap_ms: Optional[int]):
+def _load_trace(path: str, gap_ms: Optional[int]):
     from .trace import consolidate_sessions, parse_trace
 
-    trace = parse_trace(path, window)
+    trace = parse_trace(path)
     if gap_ms is not None:
         trace = consolidate_sessions(trace, gap_ms)
     return trace
@@ -186,7 +186,7 @@ def _generator_config(args) -> GeneratorConfig:
 def _cmd_simulate(args, argv) -> int:
     from .lrusim import hit_ratio_curve, write_curve_csv
 
-    trace = _load_trace(args.trace, None, args.gap_ms)
+    trace = _load_trace(args.trace, args.gap_ms)
     sizes = _parse_grid_spec(args.sizes, max(trace.distinct_docs, 1))
     curve = hit_ratio_curve(trace, sizes)
     _write_outputs(
@@ -200,7 +200,7 @@ def _cmd_shuffle(args, argv) -> int:
     from .shuffle import randomize, run_semi_experiments
     from .trace import serialize_trace
 
-    trace = _load_trace(args.trace, None, args.gap_ms)
+    trace = _load_trace(args.trace, args.gap_ms)
     if args.kind == "all":
         sizes = _parse_grid_spec(args.sizes, max(trace.distinct_docs, 1))
         report = run_semi_experiments(trace, sizes, args.seed)
@@ -214,8 +214,9 @@ def _cmd_shuffle(args, argv) -> int:
                 )
                 for c, r, h in curve.points:
                     out.writerow([kind, c, f"{r:.6g}", f"{h:.6g}"])
-    else:
-        emit = partial(serialize_trace, randomize(trace, args.kind, args.seed))
+    else:  # the input goes: the randomized trace shares only its name tables
+        trace = randomize(trace, args.kind, args.seed)
+        emit = partial(serialize_trace, trace)
     _write_outputs(
         args.out, emit, "shuffle", argv,
         inputs={"trace": args.trace}, kind=args.kind, seed=args.seed,
@@ -239,7 +240,7 @@ def _cmd_predict(args, argv) -> int:
     from .lrusim import write_curve_csv
     from .trace import trace_stats
 
-    trace = _load_trace(args.trace, None, args.gap_ms)
+    trace = _load_trace(args.trace, args.gap_ms)
     sizes = _parse_grid_spec(args.sizes, max(trace.distinct_docs, 1))
     ts = trace.timestamps
     if not len(ts):

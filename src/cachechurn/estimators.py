@@ -28,7 +28,10 @@ __all__ = [
 #: documents whose requests share one timestamp still yield finite rates.
 MIN_LIFESPAN_MS = 1.0
 
+#: Residual bound ``|x/(1-exp(-x)) - n|`` of :func:`solve_n_prime`'s root,
+#: and the most bisection steps it takes.
 N_PRIME_TOL = 1e-10
+N_PRIME_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -66,21 +69,20 @@ class EmpiricalJointSample:
         return self.n1 + self.n2
 
 
-def solve_n_prime(n, tol: float = N_PRIME_TOL, max_iter: int = 200):
+def solve_n_prime(n):
     """Invert the zero-truncation bias of an observed Poisson count.
 
     Solves ``x / (1 - exp(-x)) = n`` for x: when a Poisson variable is
     observed only if positive, its conditional mean relates to the
     underlying mean x this way. Bracketed bisection on [0, n]; the left
     side is strictly increasing, so the positive root is unique. n = 1
-    maps to the limit value 0.
+    maps to the limit value 0. Stops once the residual is within
+    `N_PRIME_TOL`, or after `N_PRIME_STEPS` steps.
 
     Parameters
     ----------
     n : float or array-like
         Observed counts, all >= 1.
-    tol : float
-        Residual bound ``|x/(1-exp(-x)) - n|`` of the returned root.
 
     Returns
     -------
@@ -96,7 +98,7 @@ def solve_n_prime(n, tol: float = N_PRIME_TOL, max_iter: int = 200):
     hi = arr.copy()
     root = np.zeros_like(arr)
     open_mask = arr > 1  # n == 1 stays at the limit root 0
-    for _ in range(max_iter):
+    for _ in range(N_PRIME_STEPS):
         if not np.any(open_mask):
             break
         mid = 0.5 * (lo + hi)
@@ -105,7 +107,7 @@ def solve_n_prime(n, tol: float = N_PRIME_TOL, max_iter: int = 200):
         lo = np.where(open_mask & below, mid, lo)
         hi = np.where(open_mask & ~below, mid, hi)
         root = np.where(open_mask, mid, root)
-        open_mask = open_mask & (np.abs(f - arr) > tol)
+        open_mask = open_mask & (np.abs(f - arr) > N_PRIME_TOL)
     return float(root[0]) if scalar else root
 
 

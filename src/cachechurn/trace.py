@@ -153,6 +153,9 @@ class TraceSummary:
 _BLOCK_BYTES = 1 << 18
 #: Requests per block of a pass whose temporaries would otherwise span a column.
 _BLOCK = 1 << 15
+#: The fewest groups of a column's ids that are merged into its table: a
+#: merge costs more per group than a block, so a small column is merged once.
+_MERGE_GROUPS = 1 << 17
 #: Rows the csv reader checks together: one bad row sends a batch through
 #: the row-by-row checks that name it.
 _BATCH_ROWS = 512
@@ -195,18 +198,19 @@ def _compact(codes: np.ndarray, names: np.ndarray):
     return recode[codes], names[used]
 
 
-def _byte_order(words: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """The permutation that sorts the distinct ids ``data[starts:ends]`` by
-    their bytes, which for UTF-8 is ``str`` order; `words` holds the data's
-    little-endian word at each byte. A pass compares, among the ids still
-    tied, the bytes compared so far that each has (shorter first) and then
-    its next 8 bytes as a big-endian word, zero past its end; so only tied
-    ids are read further, and each pass takes memory in proportion to them."""
-    lengths = ends - starts
+def _byte_order(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The permutation that sorts the distinct ids of `lengths` bytes from
+    `starts` by their bytes, which for UTF-8 is ``str`` order; `words` holds
+    the data's little-endian word at each byte. A pass reads the next 8
+    bytes of the ids still tied (zero past an id's end), skips those that
+    every run of tied ids shares, and sorts once by a uint64 key: the run,
+    the bytes compared so far that the id has (shorter first), and as many
+    bytes read as fit beside those and the index."""
     order = np.arange(len(starts))
     new = np.zeros(len(order), bool)  # where a run of ids tied so far starts
     new[:1] = True
-    for at in range(0, int(lengths.max(initial=0)) + 8, 8):
+    at, longest = 0, int(lengths.max(initial=0))
+    while True:
         tied = ~new
         tied[:-1] |= ~new[1:]
         rows = np.flatnonzero(tied)
@@ -214,13 +218,25 @@ def _byte_order(words: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.n
             break
         ids = order[rows]
         word = _word(words, starts[ids] + at, np.maximum(lengths[ids] - at, 0)).byteswap()
-        # the run, then the bytes compared so far, as one key above the word
-        head = np.cumsum(new[rows]) * (at + 1) + np.minimum(lengths[ids], at)
-        by = np.argsort(word)
-        by = by[_stable_order(head[by])]
-        head, word = head[by], word[by]
-        order[rows] = ids[by]
-        new[rows[1:]] = (head[1:] != head[:-1]) | (word[1:] != word[:-1])
+        differ = word[1:] ^ word[:-1]
+        differ[new[rows[1:]]] = 0
+        skip = (64 - int(np.bitwise_or.reduce(differ)).bit_length()) // 8
+        seen = np.minimum(lengths[ids], at + skip)
+        seen -= seen.min()
+        high = int(seen.max()).bit_length()
+        key = np.cumsum(new[rows]) - 1  # the run
+        width = 8 * min(8 - skip, max(1, (64 - max(len(rows) - 1, 1).bit_length()
+                                          - int(key[-1]).bit_length() - high) // 8))
+        key = (key << high | seen).view(np.uint64) << np.uint64(width)
+        key |= word << np.uint64(8 * skip) >> np.uint64(64 - width)  # a shift by 64 gives 0
+        del differ, seen, word
+        if (key[1:] < key[:-1]).any():
+            by = _stable_order(key)
+            key, order[rows] = key[by], ids[by]
+        new[rows[1:]] = key[1:] != key[:-1]
+        if at + skip >= longest:  # this pass compared whole ids, and their lengths
+            break
+        at += skip + width // 8
     return order
 
 
@@ -229,9 +245,8 @@ def _sorted_names(names: list, encoded: list):
     and the names in that order."""
     data = b"".join(encoded) + bytes(7)  # a word at each byte, the last ones too
     lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
-    ends = np.cumsum(lengths)
     order = _byte_order(np.ndarray((len(data) - 7,), "<u8", data, strides=(1,)),
-                        ends - lengths, ends)
+                        np.cumsum(lengths) - lengths, lengths)
     return _ranks(order), np.array(names, dtype=object)[order]
 
 
@@ -291,14 +306,19 @@ def build_trace(
 
     Sorts stably by timestamp and derives the window from the maximum
     timestamp when `window_length` is not given (at least 1 ms so the
-    window stays valid for empty or single-instant traces).
+    window stays valid for empty or single-instant traces). An id must be
+    Unicode text, which a trace file can hold: one holding a lone surrogate
+    is a ValueError.
     """
     columns = []
-    for ids in (docs,) if users is None else (docs, users):
+    for column, ids in zip(("doc_id", "user_id"), (docs,) if users is None else (docs, users)):
         table = {}
         codes = _intern(ids, table)
-        rank, names = _sorted_names(list(table), [name.encode("utf-8", "surrogatepass")
-                                                  for name in table])
+        try:
+            encoded = [name.encode("utf-8") for name in table]
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"{column} {exc.object!r} is not Unicode text") from None
+        rank, names = _sorted_names(list(table), encoded)
         columns += [rank[codes], names]
     # a copy: the caller's array must not change the Trace later
     return _make_trace(np.array(timestamps, dtype=np.int64), *columns,
@@ -495,11 +515,9 @@ def _scan(data: bytes):
     expected = _check_header(head.decode("utf-8", "surrogateescape").split(",") if head else [])
     count = data.count(b"\n", pos) + (pos < len(data) and not data.endswith(b"\n"))
     ts = np.empty(count, np.int64)
-    codes = [np.empty(count, np.int32) for _ in range(expected - 1)]
-    # per column and block, where one id of each of the block's groups starts and ends
-    groups = [[(np.zeros(0, np.int64),) * 2] for _ in codes]
     buf = np.frombuffer(data, np.uint8)
     words = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))  # a word at each byte
+    columns = [_IdColumn(data, words, count) for _ in range(expected - 1)]
     limit, row = csv.field_size_limit(), 0
     while pos < len(data):
         stop = len(data)
@@ -531,13 +549,11 @@ def _scan(data: bytes):
             return None
         n = len(block_ts)
         ts[row:row + n] = block_ts
-        for column, out, group in zip(range(1, expected), codes, groups):
-            found = _group_ids(data, words, starts[:, column], ends[:, column])
-            out[row:row + n] = found[0] + sum(len(s) for s, _ in group)  # after earlier groups
-            group.append(found[1:])
+        for index, column in enumerate(columns, 1):
+            column.add(starts[:, index], ends[:, index], row)
         row, pos = row + n, stop
-    tables = [_name_table(data, words, out, group) for out, group in zip(codes, groups)]
-    return ts, list(zip(codes, tables)), None, None
+    block = starts = ends = kinds = widths = block_ts = None  # not alive while names decode
+    return ts, [(column.codes, column.names()) for column in columns], None, None
 
 
 def _digits(words: np.ndarray, ends: np.ndarray, widths: np.ndarray) -> Optional[np.ndarray]:
@@ -562,83 +578,181 @@ def _digits(words: np.ndarray, ends: np.ndarray, widths: np.ndarray) -> Optional
 def _word(words: np.ndarray, at: np.ndarray, left: np.ndarray) -> np.ndarray:
     """The 8 bytes of the data from each of `at` as a little-endian word,
     zero past the `left` bytes that remain of its id."""
-    top = np.minimum(at, len(words) - 1)  # the last word ends the data
-    return words[top] >> ((at - top) * 8).astype(np.uint64) & _KEEP[np.minimum(left, 8)]
+    if at.max(initial=0) < len(words):
+        word = words[at]
+    else:
+        top = np.minimum(at, len(words) - 1)  # the last word ends the data
+        word = words[top] >> ((at - top) * 8).astype(np.uint64)
+    low = int(left.min(initial=8))
+    if low < 8:  # one mask for all when it can
+        word &= _KEEP[np.minimum(left, 8)] if left.max() > low else _KEEP[low]
+    return word
 
 
-def _group_ids(data: bytes, words: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """Group the ids ``data[starts:ends]`` by the high bits of a hash of
-    their bytes, and check each byte for byte against one id of its group.
-    A group whose ids differ (distinct ids whose hashes share those bits)
-    is split by their bytes. Returns the group of each id, and where one id
-    of each group starts and ends."""
-    lengths, chunks = ends - starts, []
-    key, shortest = lengths.astype(np.uint64), lengths.min(initial=2**62)
-    for at in range(0, int(lengths.max(initial=0)), 8):
-        # the ids that reach this word: all of them, or few when some are long
-        rows = slice(None) if at < shortest else np.flatnonzero(lengths > at)
-        word = _word(words, starts[rows] + at, lengths[rows] - at)
-        key[rows] = (key[rows] ^ word) * _MIX
-        chunks.append((at, rows, word))
-    # one sort of the hashes' high bits, with each id's index in the low bits
-    bits = np.uint64(max(len(key) - 1, 1).bit_length())
-    key = key >> bits << bits | np.arange(len(key), dtype=np.uint64)
-    key.sort()
-    order = (key & (np.uint64(1) << bits) - np.uint64(1)).astype(np.intp)
-    key >>= bits
-    new = np.ones(len(key), bool)
-    np.not_equal(key[1:], key[:-1], out=new[1:])
+def _group_ids(data: bytes, words: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+               key: np.ndarray, known: int = 0, read=()):
+    """Number the ids of `lengths` bytes from `starts`, with hashes `key`,
+    so that equal ids share a number: each of the first `known` ids, all
+    distinct, keeps its index, and the others are numbered from `known` on
+    in hash order. One sort of the hashes' high bits above each id's index
+    orders them; each id is checked against the one before it, and ids that
+    share those bits but differ are split by their bytes and numbered last.
+    Returns each id's number (int32) and the first id of each new number."""
+    n = len(key)
+    bits = np.uint64(max(n - 1, 1).bit_length())
+    order = key >> bits
+    order <<= bits
+    for lo in range(0, n, _BLOCK):  # no full-length index temporary
+        order[lo:lo + _BLOCK] |= np.arange(lo, min(lo + _BLOCK, n), dtype=np.uint64)
+    order.sort()
+    new = np.ones(n, bool)  # where a run of equal high bits starts
+    np.greater_equal(order[1:] ^ order[:-1], np.uint64(1) << bits, out=new[1:])
+    order &= (np.uint64(1) << bits) - np.uint64(1)
+    order = order.view(np.int64)
+    run = np.cumsum(new, dtype=np.int32)
+    run -= 1
     first = order[new]
-    group = np.empty(len(key), np.intp)
-    group[order] = np.cumsum(new) - 1
-    twin = first[group]
-    differ = lengths[twin] != lengths
-    for at, rows, word in chunks:
-        if isinstance(rows, slice):
-            differ |= word != word[twin]
-        else:
-            differ[rows] |= word != _word(words, starts[twin[rows]] + at, lengths[rows] - at)
-    if differ.any():  # the split groups are dropped, and their ids numbered after the rest
-        rows = np.flatnonzero(np.isin(group, group[differ]))
-        split = _intern([data[lo:hi] for lo, hi in zip(starts[rows].tolist(),
-                                                       ends[rows].tolist())], {})
-        keep = np.bincount(group[rows], minlength=len(first)) == 0
-        group = (np.cumsum(keep) - 1)[group]
-        first = first[keep]
-        group[rows] = len(first) + split
-        first = np.append(first, rows[np.unique(split, return_index=True)[1]])
-    return group, starts[first], ends[first]
+    split = np.zeros(len(first), bool)  # the runs whose ids differ
+    split[run[_unlike_previous(words, starts, lengths, order, new, read)]] = True
+    fresh = (first >= known) & ~split
+    number = np.where(fresh, np.cumsum(fresh) + (known - 1), first)
+    group = np.empty(n, np.int32)
+    group[order] = number[run]
+    del number
+    if split.any():
+        rows = np.sort(order[split[run]])
+        seen = {}
+        twin = np.array([seen.setdefault(data[lo:lo + size], row) for row, lo, size in zip(
+            rows.tolist(), starts[rows].tolist(), lengths[rows].tolist())], np.int64)
+        outside = twin >= known  # not in the table: numbered after the rest
+        ids, twin[outside] = np.unique(twin[outside], return_inverse=True)
+        twin[outside] += known + np.count_nonzero(fresh)
+        group[rows] = twin
+        return group, np.concatenate([first[fresh], ids])
+    return group, first[fresh]
 
 
-def _name_table(data: bytes, words: np.ndarray, codes: np.ndarray, blocks: list):
-    """The distinct ids of one column in ascending order, given where one
-    id of each group of each block (`blocks`) starts and ends, with the
-    `codes` that index those groups recoded in place to index the result.
-    The ids are decoded a length at a time, or all kept as bytes when that
-    fails."""
-    recode, starts, ends = _group_ids(data, words,
-                                      *(np.concatenate(part) for part in zip(*blocks)))
-    order = _byte_order(words, starts, ends)
-    recode = _ranks(order)[recode]
-    for lo in range(0, len(codes), _BLOCK_BYTES):  # no index copy of the whole column
-        codes[lo:lo + _BLOCK_BYTES] = recode[codes[lo:lo + _BLOCK_BYTES]]
-    starts, ends = starts[order], ends[order]
-    # the ids of each length gathered as one record each, with a "\n" after
-    # each, then decoded and split together
-    lengths = ends - starts
-    by_length = _stable_order(lengths)
-    runs = np.flatnonzero(np.diff(lengths[by_length], prepend=-1, append=-1)).tolist()
-    table = np.empty(len(starts), dtype=object)
-    try:
-        for lo, hi in itertools.pairwise(runs):
-            ids, width = by_length[lo:hi], int(lengths[by_length[lo]])
-            records = np.ndarray((len(data) - width + 1,), f"V{width}", data, strides=(1,))
-            text = np.full((hi - lo, width + 1), 10, np.uint8)
-            text[:, :width] = records[starts[ids]].view(np.uint8).reshape(hi - lo, width)
-            table[ids] = str(text, "utf-8").split("\n")[:-1]
-    except UnicodeDecodeError:
-        return list(map(data.__getitem__, map(slice, starts.tolist(), ends.tolist())))
-    return table
+def _unlike_previous(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                     order: np.ndarray, new: np.ndarray, read) -> np.ndarray:
+    """Whether each id, taken in `order`, differs from the one before it in
+    its run (`new` marks where runs start), a block of ids at a time: by the
+    words every id has, from `read` in index order, then by reading the
+    others of the ids in runs of two or more."""
+    tied = ~new
+    tied[:-1] |= ~new[1:]
+    unlike = np.zeros(len(order), bool)
+    for lo in range(1, len(order), _BLOCK):
+        ids = order[lo - 1:lo + _BLOCK]
+        size = lengths[ids]
+        out = unlike[lo:lo + _BLOCK]
+        np.not_equal(size[1:], size[:-1], out=out)
+        for word in read:
+            word = word[ids]
+            out |= word[1:] != word[:-1]
+        rows = np.flatnonzero(tied[lo - 1:lo + _BLOCK] & (size > 8 * len(read)))
+        at, size = starts[ids[rows]], size[rows]
+        for offset in range(8 * len(read), int(size.max(initial=0)), 8):
+            reach = size > offset  # compared where an id and the one before it reach
+            word = _word(words, at[reach] + offset, size[reach] - offset)
+            pair = rows[reach]
+            both = pair[1:] == pair[:-1] + 1
+            out[pair[1:][both] - 1] |= word[1:][both] != word[:-1][both]
+    unlike &= ~new  # an id that starts a run was read with the end of the run before
+    return unlike
+
+
+class _IdColumn:
+    """One id column of the byte scan: an int32 code per row into a table
+    of its distinct ids, each held as where one copy starts, its length and
+    its hash. Each block's ids are grouped; the groups wait until they are
+    as many as the table holds, and `_MERGE_GROUPS`, then are merged into it
+    and their rows recoded. So the merges take time in proportion to the
+    rows, and memory in proportion to the distinct ids plus one block."""
+
+    def __init__(self, data: bytes, words: np.ndarray, rows: int):
+        self.data, self.words = data, words
+        self.codes = np.empty(rows, np.int32)
+        self.table = (np.zeros(0, np.int64), np.zeros(0, np.int32), np.zeros(0, np.uint64))
+        self.pending, self.waiting, self.merged = [], 0, 0  # groups, their count, rows
+
+    def add(self, starts: np.ndarray, ends: np.ndarray, row: int) -> None:
+        """Group the block's ids, of the rows from `row` on: a hash of each,
+        its length and then each 8-byte word xor-ed in and multiplied by
+        _MIX; the words every id has are kept to check the groups by."""
+        lengths = (ends - starts).astype(np.int32)
+        key, shortest, read = lengths.astype(np.uint64), int(lengths.min()), []
+        for at in range(0, int(lengths.max()), 8):
+            rows = slice(None) if at < shortest else np.flatnonzero(lengths > at)
+            word = _word(self.words, starts[rows] + at, lengths[rows] - at)
+            key[rows] = (key[rows] ^ word) * _MIX
+            if at < shortest:
+                read.append(word)
+        group, first = _group_ids(self.data, self.words, starts, lengths, key, read=read)
+        del read
+        # a group's code counts after the table and the groups already waiting
+        self.codes[row:row + len(group)] = group + (len(self.table[0]) + self.waiting)
+        self.pending.append((starts[first], lengths[first], key[first]))
+        self.waiting += len(first)
+        if self.waiting >= max(len(self.table[0]), _MERGE_GROUPS):
+            self._merge(row + len(group))
+
+    def _merge(self, stop: int) -> None:
+        """Merge the waiting groups into the table, and recode the rows up
+        to `stop`; the new ids follow the table in the order of their first
+        copies, so the table holds a file's ids in its order, which reads
+        faster."""
+        known = len(self.table[0])
+        starts, lengths, key = map(np.concatenate, zip(self.table, *self.pending))
+        self.table, self.pending, self.waiting = None, [], 0
+        group, first = _group_ids(self.data, self.words, starts, lengths, key, known)
+        mark = np.zeros(len(key), bool)
+        mark[first] = True
+        place = np.cumsum(mark, dtype=np.int32)[first] + np.int32(known - 1)
+        moved = group >= known
+        group[moved] = place[group[moved] - known]
+        first = np.flatnonzero(mark)
+        del mark, place, moved
+        self.table = tuple(np.concatenate([part[:known], part[first]])
+                           for part in (starts, lengths, key))
+        del starts, lengths, key, first
+        for lo in range(self.merged, stop, _BLOCK):
+            codes = self.codes[lo:min(lo + _BLOCK, stop)]
+            codes[:] = group[codes]  # the waiting groups follow the table, as in `group`
+        self.merged = stop
+
+    def names(self):
+        """The distinct ids in ascending order, the codes recoded in place
+        to index them; the bytes of each when one is not UTF-8."""
+        if self.pending:
+            self._merge(len(self.codes))
+        starts, lengths = self.table[:2]  # the hashes are freed
+        self.table = None
+        order = _byte_order(self.words, starts, lengths)
+        rank = _ranks(order)
+        for lo in range(0, len(self.codes), _BLOCK):  # no index copy of the whole column
+            self.codes[lo:lo + _BLOCK] = rank[self.codes[lo:lo + _BLOCK]]
+        del rank
+        starts, lengths = starts[order], lengths[order]
+        del order
+        # the ids of each length gathered as records, each with a "\n" after
+        # it, and decoded and split a slice at a time: so the names are made
+        # in their order, and compare fast later
+        by_length = _stable_order(lengths)
+        runs = np.flatnonzero(np.diff(lengths[by_length], prepend=-1, append=-1)).tolist()
+        table, data = np.empty(len(starts), dtype=object), self.data
+        try:
+            for lo, hi in itertools.pairwise(runs):
+                width = int(lengths[by_length[lo]])
+                records = np.ndarray((len(data) - width + 1,), f"V{width}", data, strides=(1,))
+                step = max(1, _BLOCK_BYTES // 4 // (width + 1))
+                for part in range(lo, hi, step):
+                    ids = by_length[part:min(part + step, hi)]
+                    text = np.full((len(ids), width + 1), 10, np.uint8)
+                    text[:, :width] = records[starts[ids]].view(np.uint8).reshape(-1, width)
+                    table[ids] = str(text, "utf-8").split("\n")[:-1]
+        except UnicodeDecodeError:
+            return [data[lo:lo + size] for lo, size in zip(starts.tolist(), lengths.tolist())]
+        return table
 
 
 def serialize_trace(trace: Trace, writer) -> None:
@@ -651,24 +765,37 @@ def serialize_trace(trace: Trace, writer) -> None:
     columns = [(trace.docs, trace.doc_names)]
     if trace.users is not None:
         columns.append((trace.users, trace.user_names))
-    # per column one row "0," + its ids + "\n", each id as the writer puts it
-    # within a row; the writer quotes an id holding "\n" but not one holding
-    # a lone "\r", so tables holding one are formatted again, every id quoted
+    # the source of every byte written: "\n", then per column "0", each id as
+    # "," and the field the writer puts within a row, and "\n", a slice of the
+    # table at a time; the writer quotes an id holding "\n" but not one
+    # holding a lone "\r", so tables holding one are formatted again, all quoted
     for quoting in csv.QUOTE_MINIMAL, csv.QUOTE_NONNUMERIC:
         fields = csv.writer(SimpleNamespace(write=str), lineterminator="\n", quoting=quoting)
-        texts = [fields.writerow([0, *names]).encode("utf-8", "surrogatepass")
-                 for _, names in columns]
-        if not any(b"\r" in text for text in texts):
+        source, bounds = bytearray(b"\n"), []
+        for _, names in columns:
+            bounds.append(len(source))
+            source += b"0"
+            for lo in range(0, len(names), _BLOCK // 8):
+                row = fields.writerow([0, *names[lo:lo + _BLOCK // 8]])
+                source += row[1:-1].encode("utf-8", "surrogatepass")
+            source += b"\n"
+        if b"\r" not in source:
             break
     out = csv.writer(writer, lineterminator="\n", quoting=quoting)
     out.writerow(["timestamp_ms", "doc_id", "user_id"][: len(columns) + 1])
-    tables, offset = [], 1  # where each id starts in the source, and its length
-    for (codes, _), text in zip(columns, texts):
-        text = np.frombuffer(text, np.uint8)
+    kind = np.int32 if len(source) < 2**31 else np.int64  # for positions in the source
+    tables = []  # where each id starts in the source, and its length
+    for (codes, _), lo, hi in zip(columns, bounds, bounds[1:] + [len(source)]):
+        text = np.frombuffer(source, np.uint8, hi - lo, lo)
         # an id is "," + field: from a comma outside quotes to the next, or to the "\n"
-        first = np.flatnonzero((text == 44) & ~np.logical_xor.accumulate(text == 34))
-        tables.append((codes, first + offset, np.diff(first, append=len(text) - 1)))
-        offset += len(text)
+        comma = np.logical_xor.accumulate(text == 34)
+        np.logical_not(comma, out=comma)
+        comma &= text == 44
+        first = np.flatnonzero(comma).astype(kind)
+        del text, comma  # the source can grow again
+        size = np.diff(first, append=kind(hi - lo - 1))
+        first += lo
+        tables.append((codes, first, size))
     ts = trace.timestamps
     width = len(str(ts.max(initial=0)))
     # blocks of rows that hold a quarter of _BLOCK_BYTES on average, as the
@@ -678,8 +805,9 @@ def serialize_trace(trace: Trace, writer) -> None:
         for lo in range(0, len(codes), _BLOCK_BYTES // 8):  # no copy of the whole column
             total += int(size[codes[lo:lo + _BLOCK_BYTES // 8]].sum())
     step = max(1, len(ts) * (_BLOCK_BYTES // 4) // max(total, 1))
-    # the source of every byte written: "\n", the ids, and a block's timestamp digits
-    source = np.frombuffer(bytearray().join([b"\n", *texts, bytes(step * width)]), np.uint8)
+    offset = len(source)
+    source += bytes(step * width)  # a block's timestamp digits
+    source = np.frombuffer(source, np.uint8)
     digits = source[offset:].reshape(step, width)
     for lo in range(0, len(ts), step):
         stamps = ts[lo:lo + step]

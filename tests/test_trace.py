@@ -251,13 +251,15 @@ def test_trailing_nul_is_its_own_document():
 
 def test_small_blocks_change_nothing(monkeypatch, rng):
     # blocks end after a newline or, past a row longer than a block, at the
-    # next one; ids recur across blocks and are merged into one table
+    # next one; ids recur across blocks and are merged into one table, here
+    # as soon as the groups waiting are as many as the table holds
     tr = random_trace(rng, 300, 40, with_users=True)
     buf = io.StringIO()
     serialize_trace(tr, buf)
     data = buf.getvalue().encode()
     expected = parse_trace(io.BytesIO(data))
     monkeypatch.setattr(trace_module, "_BLOCK_BYTES", 16)
+    monkeypatch.setattr(trace_module, "_MERGE_GROUPS", 1)
     got = parse_trace(io.BytesIO(data))
     assert trace_module._scan(data) is not None
     for field in ("timestamps", "docs", "doc_names", "users", "user_names"):
@@ -280,6 +282,23 @@ def test_hash_collision_splits_group(monkeypatch):
     for field in ("timestamps", "docs", "doc_names", "users", "user_names"):
         assert getattr(got, field).tolist() == getattr(expected, field).tolist()
     assert list(doc_ids(got)) == ["a", "a\x00", "bb", "a", "bb"]
+
+
+def test_long_ids_checked_a_few_at_a_time(monkeypatch):
+    # with a multiplier of 0 every id is in one hash group, so each is
+    # checked against the one before it, word by word, here two at a time,
+    # in each block and in each merge; the ids are longer than a word and
+    # of many lengths
+    docs = ["x" * size + tail for size in (1, 7, 8, 9, 16, 17, 30) for tail in ("", "a", "\x00")]
+    rows = docs + docs[::-1] + docs[::3]
+    data = ("timestamp_ms,doc_id\n" + "".join(f"{t},{doc}\n" for t, doc in enumerate(rows))).encode()
+    monkeypatch.setattr(trace_module, "_MIX", np.uint64(0))
+    monkeypatch.setattr(trace_module, "_BLOCK", 2)
+    monkeypatch.setattr(trace_module, "_BLOCK_BYTES", 64)
+    monkeypatch.setattr(trace_module, "_MERGE_GROUPS", 1)
+    got = parse_trace(io.BytesIO(data))
+    assert got.doc_names.tolist() == sorted(docs)
+    assert doc_ids(got).tolist() == rows
 
 
 def test_serialize_memory_follows_bytes_written():
@@ -349,6 +368,47 @@ def test_parse_memory_follows_the_ids():
     assert peak < 8 * 2**20
     assert tr.doc_names.tolist() == sorted(docs)
     assert doc_ids(tr).tolist() == docs
+
+
+#: 50,000 distinct 6-byte user ids, in a shuffled order
+MANY_USERS = [f"u{u:05d}" for u in np.random.default_rng(1).permutation(50_000).tolist()]
+
+
+def test_parse_memory_follows_the_distinct_ids():
+    # each block's ids are merged into one running table as the scan goes,
+    # and that table is ordered and decoded once its merge inputs are freed
+    data = ("timestamp_ms,doc_id,user_id\n"
+            + "".join(f"{t},d{t % 100},{user}\n" for t, user in enumerate(MANY_USERS))).encode()
+    tracemalloc.start()
+    try:
+        tr = parse_trace(io.BytesIO(data))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 140 * len(MANY_USERS)  # bytes per distinct id, the Trace included
+    assert tr.user_names[tr.users].tolist() == MANY_USERS
+
+
+def test_serialize_memory_follows_the_names():
+    # the formatted tables are held once, and where each name starts in
+    # them, and its length, as int32
+    tr = build_trace(range(len(MANY_USERS)), [f"d{i % 100}" for i in range(len(MANY_USERS))],
+                     MANY_USERS)
+    tracemalloc.start()
+    try:
+        serialize_trace(tr, SimpleNamespace(write=len))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 75 * len(MANY_USERS)
+
+
+def test_build_trace_rejects_an_id_that_is_not_unicode_text():
+    # a lone surrogate has no UTF-8 form, so no trace file can hold it
+    with pytest.raises(ValueError, match=r"doc_id '\\udc80x' is not Unicode text"):
+        build_trace([0, 1], ["\udc80x", "y"])
+    with pytest.raises(ValueError, match="user_id"):
+        build_trace([0, 1], ["a", "b"], ["u", "\ud800"])
 
 
 @pytest.mark.parametrize("duration", [20, 10])  # every name used, or not

@@ -6,6 +6,8 @@ ms, a 3e7 ms window, generator seed 2024: 2.93 M requests over 30.5 k
 documents) and times, in this one process, each of:
 
 - ``generate_box_trace``: building that trace;
+- ``parse_trace``: reading that trace back from the CSV file that
+  ``serialize_trace`` writes of it, in a temporary directory;
 - ``stack_distances``: one exact LRU pass over it;
 - ``randomize_global``, ``randomize_positional``, ``randomize_local``:
   each randomization, seed 2024;
@@ -20,10 +22,10 @@ wall times of its runs and their minimum, and ``ru_maxrss_mb``, this
 process's peak RSS after the stage's runs (it only grows, so it is the
 peak of every stage up to that one). The peak of the trace's own build
 counts towards every later stage. So ``generate_box_trace``,
-``stack_distances`` and ``randomize_global`` run once more each, under
-``tracemalloc``, after their timed runs: ``peak_bytes_per_request`` is
-that run's own peak of numpy and Python allocations, divided by the
-trace's requests.
+``parse_trace``, ``stack_distances`` and ``randomize_global`` run once
+more each, under ``tracemalloc``, after their timed runs:
+``peak_bytes_per_request`` is that run's own peak of numpy and Python
+allocations, divided by the trace's requests.
 
 Before those stages it times whole CLI children, ``python -m cachechurn``
 with ``--version``, ``generate``, ``simulate``, ``predict --method box``,
@@ -83,7 +85,7 @@ from cachechurn.shuffle import (
     randomize_global, randomize_local, randomize_positional, run_semi_experiments,
 )
 from cachechurn.synth import GeneratorConfig, generate_box_trace
-from cachechurn.trace import parse_trace, trace_stats
+from cachechurn.trace import parse_trace, serialize_trace, trace_stats
 
 RUNS = 3
 CLI_RUNS = 5
@@ -234,6 +236,12 @@ def main() -> dict:
     docs = trace.distinct_docs
     sizes = np.unique(np.rint(np.geomspace(round(0.01 * docs), round(0.4 * docs), 20)))
     sizes = sizes.astype(np.int64)
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "trace.csv")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            serialize_trace(trace, handle)
+        timed("parse_trace", parse_trace, path)
+        stages["parse_trace"]["peak_bytes_per_request"] = traced_peak(parse_trace, path) / len(trace)
     timed("stack_distances", stack_distances, trace)
     for name, fn, args in (("generate_box_trace", generate_box_trace, (config, SEED)),
                            ("stack_distances", stack_distances, (trace,))):
