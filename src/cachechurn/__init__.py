@@ -19,21 +19,20 @@ __version__ = "0.2.0"
 RANDOMIZATION_KINDS = ("global", "positional", "local")
 
 _EXPORTS = {
-    "trace": ("ObservationWindow", "Trace", "TraceParseError", "TraceSummary", "build_trace",
+    "trace": ("ObservationWindow", "Trace", "TraceParseError", "build_trace",
               "consolidate_sessions", "extract_subtrace", "parse_trace", "serialize_trace",
               "trace_stats"),
     "lrusim": ("HitRatioCurve", "StackDistanceProfile", "brute_force_lru", "hit_ratio_curve",
                "log_size_grid", "mare", "read_curve_csv", "stack_distances", "write_curve_csv"),
-    "shuffle": ("SemiExperimentReport", "randomize", "randomize_global", "randomize_local",
-                "randomize_positional", "run_semi_experiments"),
+    "shuffle": ("randomize", "randomize_global", "randomize_local", "randomize_positional",
+                "run_semi_experiments"),
     "estimators": ("EmpiricalJointSample", "build_joint_sample", "estimate_catalog_rate",
                    "rank_frequency", "solve_n_prime"),
-    "boxmodel": ("CharacteristicTime", "WorkingSetModel", "box_hit_ratio_curve",
-                 "box_working_set", "characteristic_time", "expected_hits_per_doc",
-                 "irm_che_curve", "mean_expected_hits", "noise_working_set",
-                 "repeat_doc_window_mean"),
-    "synth": ("GeneratorConfig", "MonteCarloDistinct", "Population", "generate_box_trace",
-              "generate_irm_trace", "monte_carlo_distinct_docs", "sample_population"),
+    "boxmodel": ("WorkingSetModel", "box_hit_ratio_curve", "box_working_set",
+                 "characteristic_time", "expected_hits_per_doc", "irm_che_curve",
+                 "mean_expected_hits", "noise_working_set", "repeat_doc_window_mean"),
+    "synth": ("GeneratorConfig", "generate_box_trace", "generate_irm_trace",
+              "monte_carlo_distinct_docs", "sample_population"),
 }
 _OWNERS = {name: module for module, names in _EXPORTS.items() for name in names}
 

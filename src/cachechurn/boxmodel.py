@@ -78,16 +78,6 @@ def _ws_pair(lam, tau, t):
     return 2.0 * s + _one_minus_exp(lam * s) * (np.maximum(tau, t) - s - 2.0 / lam)
 
 
-def _repeat_pair(lam, tau, t):
-    """Repeat-documents kernel of one pair over a window of length t:
-    2s(1 - e^{-lam s}) + G(lam s)(l - s - 4/lam) with s = min(tau, t),
-    l = max(tau, t) and G the :func:`_gap_weight`."""
-    s = np.minimum(tau, t)
-    return 2.0 * s * _one_minus_exp(lam * s) + _gap_weight(lam * s) * (
-        np.maximum(tau, t) - s - 4.0 / lam
-    )
-
-
 def box_working_set(t, gamma: float, lambdas, taus):
     """Mean number of distinct documents requested in a window of length t.
 
@@ -150,14 +140,19 @@ def repeat_doc_window_mean(lam, tau, t):
     Scaled by the catalog rate and averaged over the population this is
     the multi-request counterpart of :func:`noise_working_set`; the two
     together rebuild the full working set. `lam`, `tau` and `t` broadcast
-    against each other.
+    against each other. The kernel is 2s(1 - e^{-lam s}) + G(lam s)(l - s
+    - 4/lam) with s = min(tau, t), l = max(tau, t) and G the
+    :func:`_gap_weight`.
     """
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ValueError("t must be non-negative")
     lam = np.asarray(lam, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    out = _repeat_pair(lam, tau, t_arr)
+    s = np.minimum(tau, t_arr)
+    out = 2.0 * s * _one_minus_exp(lam * s) + _gap_weight(lam * s) * (
+        np.maximum(tau, t_arr) - s - 4.0 / lam
+    )
     return out if out.ndim else float(out)
 
 
@@ -268,25 +263,17 @@ def characteristic_time(
     ]
 
 
-def _hits_pair(lam, tau, t_c):
-    """Expected hits of one pair: x(1 - e^{-y}) - G(y) with x = lam*tau and
-    y = lam*min(tau, t_C), G the :func:`_gap_weight`. This is
-    (x-1)(1-e^-y) + y e^-y written so that it stays cancellation-free for
-    y <= x; at y = x it is x - 1 + e^-x, the mean Poisson count beyond the
-    first."""
-    x = lam * tau
-    y = lam * np.minimum(tau, t_c)
-    return x * _one_minus_exp(y) - _gap_weight(y)
-
-
 def expected_hits_per_doc(lam, tau, t_c):
     """Expected LRU hits to one document at characteristic time t_C.
 
     A request hits when the gap since the previous request of the same
     document is at most t_C. A lifespan no longer than t_C keeps every
     request after the first as a hit; a longer one loses the gaps that
-    exceed t_C. One formula covers both, in min(tau, t_C). Broadcasts
-    over array `lam`/`tau`.
+    exceed t_C. One formula covers both: x(1 - e^{-y}) - G(y) with x =
+    lam*tau, y = lam*min(tau, t_C) and G the :func:`_gap_weight`, which is
+    (x-1)(1-e^-y) + y e^-y free of cancellation for y <= x; at y = x, x - 1
+    + e^-x, the mean Poisson count beyond the first. Broadcasts over array
+    `lam`/`tau`.
 
     Returns
     -------
@@ -297,7 +284,9 @@ def expected_hits_per_doc(lam, tau, t_c):
         raise ValueError("t_c must be non-negative")
     lam = np.asarray(lam, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    out = _hits_pair(lam, tau, t_c)
+    x = lam * tau
+    y = lam * np.minimum(tau, t_c)
+    out = x * _one_minus_exp(y) - _gap_weight(y)
     return out if out.ndim else float(out)
 
 

@@ -178,9 +178,12 @@ def _generator_config(args) -> GeneratorConfig:
             "either --config or all of --gamma/--window-ms/--lambda/--tau "
             f"are required (missing {', '.join(missing)})"
         )
-    return GeneratorConfig.fixed_pair(
-        args.gamma, args.window_ms, args.lam, args.tau, args.warmup_ms
-    )
+    try:
+        return GeneratorConfig.fixed_pair(
+            args.gamma, args.window_ms, args.lam, args.tau, args.warmup_ms
+        )
+    except ValueError as exc:  # a flag's value outside the config's range
+        raise _UsageError(str(exc)) from None
 
 
 def _cmd_simulate(args, argv) -> int:

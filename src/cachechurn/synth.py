@@ -45,7 +45,9 @@ class GeneratorConfig:
     window start so the catalog looks stationary at time 0; when None it
     defaults to the :data:`WARMUP_TAU_PERCENTILE` percentile of the
     lifespan pool (documents with longer lifespans are ignored before the
-    window, a small documented edge bias).
+    window, a small documented edge bias). `window` is at most 2**52 ms:
+    request times are drawn in float64, which holds every half millisecond
+    up to there, so each one rounded half-up stays in [0, window].
     """
 
     gamma: float
@@ -67,6 +69,8 @@ class GeneratorConfig:
             raise ValueError("gamma must be non-negative")
         if self.window <= 0:
             raise ValueError("window must be positive")
+        if self.window > 2**52:
+            raise ValueError(f"window must be at most 2**52 ms, got {self.window}")
         if len(lam) != len(tau) or len(lam) == 0:
             raise ValueError("lambdas and taus must be parallel, non-empty")
         if np.any(lam <= 0) or np.any(tau <= 0):

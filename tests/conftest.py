@@ -31,11 +31,11 @@ def paper_branch_forms(lam, tau, t):
             2.0 * t + -np.expm1(-lam * t) * (tau - t - 2.0 / lam),
             2.0 * tau + -np.expm1(-lam * tau) * (t - tau - 2.0 / lam),
         ),
-        "_repeat_pair": (
+        "repeat_doc_window_mean": (
             2.0 * t * -np.expm1(-lam * t) + _gap_weight(lam * t) * (tau - t - 4.0 / lam),
             2.0 * tau * -np.expm1(-lam * tau) + _gap_weight(lam * tau) * (t - tau - 4.0 / lam),
         ),
-        "_hits_pair": (
+        "expected_hits_per_doc": (
             # (x-1)(1-e^-y) + y e^-y, y = lam*t_C, as x(1-e^-y) - G(y)
             x * -np.expm1(-lam * t) - _gap_weight(lam * t),
             # x - 1 + e^-x, by series where it cancels

@@ -192,6 +192,11 @@ def test_shuffle_all_zero_reference_hit_ratio(tmp_path, capsys):
           "--tau", "10", "--warmup-ms", "inf", "--t-grid", "10,20"], "--warmup-ms must be finite"),
         (["validate", "--gamma", "nan", "--window-ms", "100", "--lambda", "0.1",
           "--tau", "10", "--t-grid", "10,20"], "--gamma"),
+        # a window whose request times would overflow int64, and the least past the bound
+        (["generate", "--gamma", "1e-18", "--window-ms", "10000000000000000000",
+          "--lambda", "1e-17", "--tau", "1e18"], "window must be at most 2**52 ms"),
+        (["validate", "--gamma", "1e-15", "--window-ms", str(2**52 + 1), "--lambda", "1e-15",
+          "--tau", "1e15", "--t-grid", "10,20"], "window must be at most 2**52 ms"),
     ],
 )
 def test_flag_out_of_range_usage_error(trace_file, tmp_path, capsys, argv, flag):
@@ -275,6 +280,16 @@ def test_generate_empty_catalog(tmp_path):
     assert out.read_text() == "timestamp_ms,doc_id\n"
 
 
+def test_generate_at_the_longest_window(tmp_path):
+    # every request time, rounded to a millisecond, lies within [0, 2**52]
+    out = tmp_path / "far.csv"
+    code = main(["generate", "--gamma", "1e-15", "--window-ms", str(2**52), "--lambda",
+                 "2e-15", "--tau", "4e15", "--seed", "1", "--out", str(out)])
+    assert code == 0
+    trace = parse_trace(str(out), 2**52)
+    assert len(trace) > 0 and 0 <= trace.timestamps[0] <= trace.timestamps[-1] <= 2**52
+
+
 def test_generate_from_json_config_echoed_in_manifest(tmp_path):
     config = {
         "gamma": 0.002,
@@ -304,7 +319,9 @@ def test_generate_from_json_config_echoed_in_manifest(tmp_path):
      ('{"gamma": 0.01, "window_ms": 5, "pairs": [[1, Infinity]]}', "taus must be finite"),
      ('{"gamma": NaN, "window_ms": 5, "pairs": [[1, 2]]}', "gamma must be finite"),
      ('{"gamma": 0.01, "window_ms": 5, "warmup_ms": -Infinity, "pairs": [[1, 2]]}',
-      "warmup must be finite")],
+      "warmup must be finite"),
+     ('{"gamma": 1e-18, "window_ms": 1e19, "pairs": [[1e-17, 1e18]]}',
+      "window must be at most 2**52 ms")],
 )
 def test_malformed_config_is_parse_error(tmp_path, capsys, command, document, message):
     cfg_path = tmp_path / "gen.json"
@@ -589,4 +606,4 @@ print(json.dumps([bare, unresolved, len(cachechurn.__all__), star]))
 """
     bare, unresolved, count, star = run_probe(probe, cwd=tmp_path)
     assert bare == [] and unresolved == []
-    assert count == 48 and star == sorted(cachechurn.__all__)
+    assert count == 43 and star == sorted(cachechurn.__all__)

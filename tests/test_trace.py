@@ -69,6 +69,13 @@ def test_parse_error_names_line():
 def test_parse_error_missing_field():
     with pytest.raises(TraceParseError, match="line 3"):
         trace_from("timestamp_ms,doc_id\n1,a\n2\n")
+    # separators that divide evenly into rows but lie in the wrong places
+    with pytest.raises(TraceParseError, match="line 2: expected 2 fields, got 3"):
+        trace_from("timestamp_ms,doc_id\n1,a,b\n2\n")
+    # a blank row is skipped, and the rows after it keep their line numbers
+    with pytest.raises(TraceParseError, match="line 4: expected 2 fields, got 1"):
+        trace_from("timestamp_ms,doc_id\n5,a\n\n6\n")
+    assert list(trace_from("timestamp_ms,doc_id\n5,a\n\n6,b\n").timestamps) == [5, 6]
 
 
 def test_parse_error_negative_timestamp():

@@ -1,61 +1,58 @@
-"""Time the main stages of the pipeline on the acceptance trace.
+"""Time the pipeline on the acceptance trace, as CLI children and by stage.
 
-Builds the acceptance trace in memory (the criterion-2 pool of 4000
+The acceptance trace is the criterion-2 generator config (a pool of 4000
 (lambda, tau) pairs drawn with ``default_rng(12345)``, gamma = 1e-3 per
-ms, a 3e7 ms window, generator seed 2024: 2.93 M requests over 30.5 k
-documents) and times, in this one process, each of:
+ms, a 3e7 ms window) with generator seed 2024: 2.93 M requests over
+30.5 k documents. Prints one JSON object, in this order of work:
 
-- ``generate_box_trace``: building that trace;
-- ``parse_trace``: reading that trace back from the CSV file that
-  ``serialize_trace`` writes of it, in a temporary directory;
-- ``stack_distances``: one exact LRU pass over it;
-- ``randomize_global``, ``randomize_positional``, ``randomize_local``:
-  each randomization, seed 2024;
-- ``run_semi_experiments``: all three and their four curve passes, on the
-  size grid of 1 % to 40 % of the documents, 20 sizes (``log:305:12188:20``);
-- ``box_hit_ratio_curve``: the box-model prediction on that grid, from the
-  trace's joint (rate, lifespan) sample and catalog rate, both built once
-  outside the timed runs, as ``predict --method box`` builds them.
+- ``cli``: whole CLI children, ``python -m cachechurn``. First at gamma =
+  1e-4 per ms (0.28 M requests), ``CLI_RUNS`` rounds of ``--version``,
+  ``generate``, ``simulate``, ``predict --method box|classic``,
+  ``shuffle --kind all``, ``validate`` and ``shuffle --kind local``, on
+  the grid of 1 % to 40 % of its documents, 20 sizes (``children``). Then
+  ``ACCEPTANCE_RUNS`` rounds of the same commands but ``--version`` and
+  ``shuffle --kind local`` on the acceptance config, on the grid
+  ``log:305:12188:20`` (``acceptance_children``). At each gamma
+  ``generate`` writes the trace that the other commands read, and
+  ``validate`` runs on the config of that gamma with a 1e6 ms window,
+  ``--t-grid lin:100000:1000000:10`` and 50 replications. The configs give no ``warmup_ms``, as the benchmark's
+  sampler writes them, so each child computes the default warmup. Per
+  command: its wall times, their median, its peak RSS (``os.wait4``) and
+  the median ``teardown_s``, the time from the command's return to the
+  child's reap. The child runs the package's ``__main__`` through
+  ``runpy`` after registering an atexit handler that writes
+  ``time.monotonic()``; registered first, it runs last, after the
+  command has returned and every other handler has run.
+- ``cli.parse_children``: one child per CSV file parses it with
+  ``parse_trace``, once for wall time and its own peak RSS
+  (``ru_maxrss``), then once more under ``tracemalloc`` for its peak in
+  bytes per request. It imports only ``cachechurn.trace`` and numpy. The
+  files are the acceptance trace that ``generate`` wrote
+  (``acceptance``) and a trace of many distinct ids (``many_ids``),
+  which another child writes: 3 M rows over 2 M ids of 30 bytes each, the
+  numbers of a random permutation with their leading zeros (so the ids
+  tie on their first 23 bytes), every id once and then 1 M rows of
+  uniform ids, in a random order, at uniform times.
+- ``stages``: in this process, on the acceptance trace built in memory,
+  ``RUNS`` timed runs each of ``generate_box_trace``, ``serialize_trace``
+  into a file, ``stack_distances``, each randomization (seed 2024),
+  ``run_semi_experiments`` (all three and their four curve passes, grid
+  ``log:305:12188:20``), ``trace_stats``, ``build_joint_sample``,
+  ``rank_frequency`` and ``box_hit_ratio_curve`` (from the joint sample
+  and catalog rate that ``predict --method box`` builds). Per stage: the
+  wall times, their minimum, and ``ru_maxrss_mb``, this process's peak
+  RSS after the stage's runs (it only grows, so it is the peak of every
+  stage up to that one). ``generate_box_trace``, ``serialize_trace``,
+  ``stack_distances`` and ``randomize_global`` run once more each under
+  ``tracemalloc``: ``peak_bytes_per_request`` is that run's own peak of
+  numpy and Python allocations, divided by the trace's requests.
 
-Each stage runs ``RUNS`` times. Prints one JSON object: per stage the
-wall times of its runs and their minimum, and ``ru_maxrss_mb``, this
-process's peak RSS after the stage's runs (it only grows, so it is the
-peak of every stage up to that one). The peak of the trace's own build
-counts towards every later stage. So ``generate_box_trace``,
-``parse_trace``, ``stack_distances`` and ``randomize_global`` run once
-more each, under ``tracemalloc``, after their timed runs:
-``peak_bytes_per_request`` is that run's own peak of numpy and Python
-allocations, divided by the trace's requests.
-
-Before those stages it times whole CLI children, ``python -m cachechurn``
-with ``--version``, ``generate``, ``simulate``, ``predict --method box``,
-``predict --method classic`` and ``shuffle --kind all|local`` (seed
-2024), on the same config at gamma = 1e-4 per ms (0.28 M requests) and
-the same 1 % to 40 % grid of its documents, and ``validate`` on that
-config with a 1e6 ms window, ``--t-grid lin:100000:1000000:10`` and 50
-replications. Their configs give no ``warmup_ms``, as the benchmark's
-sampler writes them, so each child computes the default warmup. The
-children run ``CLI_RUNS`` rounds, one of each command per round, and the
-JSON gets each one's wall times, their median, its peak RSS
-(``os.wait4``) and its median ``teardown_s``: the time from the
-command's return to the child's reap. The child runs the package's
-``__main__`` through ``runpy`` after registering an atexit handler that
-writes ``time.monotonic()``; registered first, it runs last, after the
-command has returned and every other handler has run. The children are
-started through ``bench/launcher.py``'s ``run``, which notes the reap
-time; it is itself started while this process is small, because a
-child's peak RSS counts the peak of the process it was forked from.
-
-Then, through the same launcher, it runs ``generate`` once at gamma =
-1e-3 per ms, which writes the acceptance trace, and one ``simulate`` and
-one ``shuffle --kind all`` (seed 2024) on it, on the grid of the stages
-below (``log:305:12188:20``). ``acceptance_children`` gets each one's wall
-time and its peak RSS (``os.wait4``): the CLI numbers of the whole trace,
-measured rather than projected from the smaller one.
-
-The JSON also gets the code size: ``src_lines``, the lines of
-``src/cachechurn/*.py``, and ``exports``, the number of names in
-``cachechurn.__all__``.
+Every child is started through ``bench/launcher.py``'s ``run``, which
+notes the reap time; the launcher is itself started while this process
+is small, because a child's peak RSS counts the peak of the process it
+was forked from. The JSON also gets the code size: ``src_lines``, the
+lines of ``src/cachechurn/*.py``, and ``exports``, the number of names
+in ``cachechurn.__all__``.
 
 Run from the repository root, with only numpy installed::
 
@@ -79,7 +76,7 @@ import numpy as np
 
 import cachechurn
 from cachechurn.boxmodel import box_hit_ratio_curve
-from cachechurn.estimators import build_joint_sample, estimate_catalog_rate
+from cachechurn.estimators import build_joint_sample, estimate_catalog_rate, rank_frequency
 from cachechurn.lrusim import stack_distances
 from cachechurn.shuffle import (
     randomize_global, randomize_local, randomize_positional, run_semi_experiments,
@@ -89,6 +86,7 @@ from cachechurn.trace import parse_trace, serialize_trace, trace_stats
 
 RUNS = 3
 CLI_RUNS = 5
+ACCEPTANCE_RUNS = 3
 CLI_GAMMA = 1e-4
 SEED = 2024
 #: 1 % to 40 % of the acceptance trace's 30,469 documents, 20 sizes
@@ -117,6 +115,37 @@ def stamp(path=sys.argv.pop(1)):
 atexit.register(stamp)
 runpy.run_module("cachechurn", run_name="__main__", alter_sys=True)
 """
+#: Parses the CSV file named by its argument, timed, then again under
+#: ``tracemalloc``, and prints the result as JSON.
+PARSER = """
+import json, os, resource, sys, time, tracemalloc
+from cachechurn.trace import parse_trace
+
+started = time.perf_counter()
+trace = parse_trace(sys.argv[1])
+result = {"s": time.perf_counter() - started, "requests": len(trace),
+          "docs": trace.distinct_docs, "bytes": os.path.getsize(sys.argv[1]),
+          "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+del trace
+tracemalloc.start()
+parse_trace(sys.argv[1])
+result["peak_bytes_per_request"] = tracemalloc.get_traced_memory()[1] / result["requests"]
+print(json.dumps(result))
+"""
+#: Writes the trace of many distinct ids to the file named by its argument.
+MANY_IDS = """
+import sys
+import numpy as np
+
+rng = np.random.default_rng(0)
+ids = np.char.zfill(rng.permutation(2_000_000).astype("U30"), 30)
+rows = np.concatenate([np.arange(len(ids)), rng.integers(0, len(ids), 1_000_000)])
+rng.shuffle(rows)
+times = rng.integers(0, 10**9, len(rows))
+with open(sys.argv[1], "w", encoding="utf-8", newline="") as handle:
+    handle.write("timestamp_ms,doc_id\\n")
+    handle.writelines(f"{t},{doc}\\n" for t, doc in zip(times.tolist(), ids[rows].tolist()))
+"""
 
 
 def acceptance_config(gamma: float = 1e-3) -> GeneratorConfig:
@@ -134,85 +163,86 @@ def cli_config(window: int, gamma: float = CLI_GAMMA) -> str:
     return json.dumps(dict(document, window_ms=window))
 
 
+def commands(name: str, sizes: str) -> dict:
+    """The CLI children on the config `name`.json, on the size grid `sizes`:
+    ``generate`` writes `name`.csv, which the others read, and ``validate``
+    runs on `name`_mc.json."""
+    trace, grid, seed = f"{name}.csv", ["--sizes", sizes], ["--seed", str(SEED)]
+    return {
+        "generate": ["generate", "--config", f"{name}.json", *seed, "--out", trace],
+        "simulate": ["simulate", trace, *grid, "--out", "sim.csv"],
+        "predict_box": ["predict", trace, "--method", "box", *grid, "--out", "box.csv"],
+        "predict_classic": ["predict", trace, "--method", "classic", *grid,
+                            "--out", "classic.csv"],
+        "shuffle_all": ["shuffle", trace, "--kind", "all", *grid, *seed, "--out", "all.csv"],
+        "validate": ["validate", "--config", f"{name}_mc.json", "--t-grid",
+                     "lin:100000:1000000:10", "--reps", "50", *seed, "--out", "validate.csv"],
+    }
+
+
 def cli_children(work: Path) -> dict:
-    """Wall times and peak RSS of the CLI children at gamma = CLI_GAMMA,
-    and of those on the acceptance trace."""
+    """Wall times and peak RSS of the CLI children at gamma = CLI_GAMMA and
+    on the acceptance trace, and the parse children."""
     launcher = subprocess.Popen([sys.executable, "-c", REAPER, str(ROOT / "bench")],
                                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     stamp = work / "stamp"
 
-    def run(argv):
-        job = {"cmd": [sys.executable, "-c", STAMPED, str(stamp), *argv], "cwd": str(work),
-               "env": env, "stdout": os.devnull, "stderr": str(work / "stderr"),
-               "timeout": 600}
+    def launch(script, *args, stdout=os.devnull):
+        job = {"cmd": [sys.executable, "-c", script, *args], "cwd": str(work), "env": env,
+               "stdout": stdout, "stderr": str(work / "stderr"), "timeout": 600}
         launcher.stdin.write(json.dumps(job) + "\n")
         launcher.stdin.flush()
         result = json.loads(launcher.stdout.readline())
         if result["code"] != 0:
-            raise SystemExit(f"{argv[0]} exited {result['code']}: "
+            raise SystemExit(f"{args} exited {result['code']}: "
                              + (work / "stderr").read_text(errors="replace"))
-        result["teardown_s"] = result.pop("reaped") - float(stamp.read_text())
         return result
 
-    try:
-        (work / "config.json").write_text(cli_config(3 * 10**7), encoding="utf-8")
-        (work / "mc_config.json").write_text(cli_config(10**6), encoding="utf-8")
-        generate = ["generate", "--config", "config.json", "--seed", str(SEED), "--out"]
-        run(generate + ["trace.csv"])
-        trace = parse_trace(str(work / "trace.csv"))
-        docs = trace.distinct_docs
-        grid = ["--sizes", f"log:{round(0.01 * docs)}:{round(0.4 * docs)}:20"]
-        commands = {
-            "version": ["--version"],
-            "generate": generate + ["gen.csv"],
-            "simulate": ["simulate", "trace.csv", *grid, "--out", "sim.csv"],
-            "predict_box": ["predict", "trace.csv", "--method", "box", *grid, "--out", "box.csv"],
-            "predict_classic": ["predict", "trace.csv", "--method", "classic", *grid,
-                                "--out", "classic.csv"],
-            "shuffle_all": ["shuffle", "trace.csv", "--kind", "all", *grid,
-                            "--seed", str(SEED), "--out", "all.csv"],
-            "shuffle_local": ["shuffle", "trace.csv", "--kind", "local", "--seed", str(SEED),
-                              "--out", "local.csv"],
-            "validate": ["validate", "--config", "mc_config.json", "--t-grid",
-                         "lin:100000:1000000:10", "--reps", "50", "--seed", str(SEED),
-                         "--out", "validate.csv"],
-        }
+    def rounds(commands, count):
         results = {name: [] for name in commands}
-        for _ in range(CLI_RUNS):
+        for _ in range(count):
             for name, argv in commands.items():
-                results[name].append(run(argv))
-        (work / "acceptance.json").write_text(cli_config(3 * 10**7, 1e-3), encoding="utf-8")
-        grid = ["--sizes", ACCEPTANCE_GRID]
-        acceptance = {name: run(argv) for name, argv in (
-            ("generate", ["generate", "--config", "acceptance.json", "--seed", str(SEED),
-                          "--out", "acceptance.csv"]),
-            ("simulate", ["simulate", "acceptance.csv", *grid, "--out", "sim.csv"]),
-            ("shuffle_all", ["shuffle", "acceptance.csv", "--kind", "all", *grid,
-                             "--seed", str(SEED), "--out", "all.csv"]),
-        )}
-    finally:
-        launcher.stdin.close()
-        launcher.wait()
-    children = {name: {"s": [r["seconds"] for r in runs],
+                result = launch(STAMPED, str(stamp), *argv)
+                result["teardown_s"] = result.pop("reaped") - float(stamp.read_text())
+                results[name].append(result)
+        return {name: {"s": [r["seconds"] for r in runs],
                        "median_s": float(np.median([r["seconds"] for r in runs])),
                        "peak_rss_mb": max(r["maxrss_kb"] for r in runs) / 1024,
                        "teardown_s": float(np.median([r["teardown_s"] for r in runs]))}
                 for name, runs in results.items()}
-    return {"gamma": CLI_GAMMA, "requests": len(trace), "docs": docs, "runs": CLI_RUNS,
-            "children": children,
-            "acceptance_children": {name: {"s": r["seconds"], "peak_rss_mb": r["maxrss_kb"] / 1024}
-                                    for name, r in acceptance.items()}}
 
+    def parse(path):
+        launch(PARSER, path, stdout=str(work / "parse.json"))
+        return json.loads((work / "parse.json").read_text())
 
-def traced_peak(fn, *args) -> int:
-    """The peak of the allocations `tracemalloc` sees in one call."""
-    tracemalloc.start()
     try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
+        for name, gamma in (("small", CLI_GAMMA), ("acceptance", 1e-3)):
+            (work / f"{name}.json").write_text(cli_config(3 * 10**7, gamma), encoding="utf-8")
+            (work / f"{name}_mc.json").write_text(cli_config(10**6, gamma), encoding="utf-8")
+        launch(STAMPED, str(stamp), *commands("small", "")["generate"])  # for the grid
+        trace = parse_trace(str(work / "small.csv"))
+        docs = trace.distinct_docs
+        small = commands("small", f"log:{round(0.01 * docs)}:{round(0.4 * docs)}:20")
+        children = rounds({"version": ["--version"], **small, "shuffle_local": [
+            "shuffle", "small.csv", "--kind", "local", "--seed", str(SEED), "--out", "local.csv",
+        ]}, CLI_RUNS)
+        acceptance = rounds(commands("acceptance", ACCEPTANCE_GRID), ACCEPTANCE_RUNS)
+        parse_children = {"acceptance": parse("acceptance.csv")}
+        launch(MANY_IDS, "many_ids.csv")
+        parse_children["many_ids"] = parse("many_ids.csv")
     finally:
-        tracemalloc.stop()
+        launcher.stdin.close()
+        launcher.wait()
+    return {"gamma": CLI_GAMMA, "requests": len(trace), "docs": docs, "runs": CLI_RUNS,
+            "children": children, "acceptance_runs": ACCEPTANCE_RUNS,
+            "acceptance_children": acceptance, "parse_children": parse_children}
+
+
+def write_csv(trace, path: str) -> None:
+    """`serialize_trace` of `trace` into the file `path`."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        serialize_trace(trace, handle)
 
 
 def main() -> dict:
@@ -230,6 +260,15 @@ def main() -> dict:
         stages[name] = {"s": seconds, "min_s": min(seconds),
                         "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
+    def traced(name, fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stages[name]["peak_bytes_per_request"] = peak / len(trace)
+
     config = acceptance_config()
     timed("generate_box_trace", generate_box_trace, config, SEED)
     trace = generate_box_trace(config, SEED)
@@ -238,19 +277,17 @@ def main() -> dict:
     sizes = sizes.astype(np.int64)
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "trace.csv")
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            serialize_trace(trace, handle)
-        timed("parse_trace", parse_trace, path)
-        stages["parse_trace"]["peak_bytes_per_request"] = traced_peak(parse_trace, path) / len(trace)
+        timed("serialize_trace", write_csv, trace, path)
+        traced("serialize_trace", write_csv, trace, path)
     timed("stack_distances", stack_distances, trace)
-    for name, fn, args in (("generate_box_trace", generate_box_trace, (config, SEED)),
-                           ("stack_distances", stack_distances, (trace,))):
-        stages[name]["peak_bytes_per_request"] = traced_peak(fn, *args) / len(trace)
+    traced("generate_box_trace", generate_box_trace, config, SEED)
+    traced("stack_distances", stack_distances, trace)
     for fn in (randomize_global, randomize_positional, randomize_local):
         timed(fn.__name__, fn, trace, SEED)
-    stages["randomize_global"]["peak_bytes_per_request"] = (
-        traced_peak(randomize_global, trace, SEED) / len(trace))
+    traced("randomize_global", randomize_global, trace, SEED)
     timed("run_semi_experiments", run_semi_experiments, trace, sizes, SEED)
+    for fn in (trace_stats, build_joint_sample, rank_frequency):
+        timed(fn.__name__, fn, trace)
     sample = build_joint_sample(trace)
     gamma_hat = estimate_catalog_rate(trace_stats(trace), trace.window.length)
     timed("box_hit_ratio_curve", box_hit_ratio_curve, sample, gamma_hat, sizes)
