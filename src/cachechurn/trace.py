@@ -240,9 +240,11 @@ def _byte_order(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> n
     return order
 
 
-def _sorted_names(names: list, encoded: list):
-    """The rank of each of `names` in the order of their bytes `encoded`,
-    and the names in that order."""
+def _sorted_names(names: list):
+    """The rank of each of `names` in the order of their UTF-8 bytes, which
+    is ``str`` order, and the names in that order; UnicodeEncodeError when
+    one holds a lone surrogate, which has no UTF-8 form."""
+    encoded = [name.encode("utf-8") for name in names]
     data = b"".join(encoded) + bytes(7)  # a word at each byte, the last ones too
     lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
     order = _byte_order(np.ndarray((len(data) - 7,), "<u8", data, strides=(1,)),
@@ -315,10 +317,9 @@ def build_trace(
         table = {}
         codes = _intern(ids, table)
         try:
-            encoded = [name.encode("utf-8") for name in table]
+            rank, names = _sorted_names(list(table))
         except UnicodeEncodeError as exc:
             raise ValueError(f"{column} {exc.object!r} is not Unicode text") from None
-        rank, names = _sorted_names(list(table), encoded)
         columns += [rank[codes], names]
     # a copy: the caller's array must not change the Trace later
     return _make_trace(np.array(timestamps, dtype=np.int64), *columns,
@@ -333,10 +334,11 @@ def parse_trace(reader, window_length: Optional[int] = None) -> Trace:
     Rows may be in any time order; the result is sorted stably.
 
     A plain file is read by whole-array passes over blocks of its bytes.
-    A file holding a quote or a lone CR, or a row that is blank, has the
-    wrong field count, an empty field or a timestamp other than 1 to 18
-    ASCII digits, is read by the stdlib ``csv`` module instead. Both give
-    the same trace, or the same error.
+    A file holding a quote, a lone CR or an id that is not UTF-8, or a row
+    that is blank, has the wrong field count, an empty field or a
+    timestamp other than 1 to 18 ASCII digits, is streamed through the
+    stdlib ``csv`` module instead. Both give the same trace, or the same
+    error, which names the first fault by its line in the file.
 
     Parameters
     ----------
@@ -378,7 +380,9 @@ def parse_trace(reader, window_length: Optional[int] = None) -> Trace:
 
 
 def _check_header(fields) -> int:
-    """The field count of a row under the header `fields`."""
+    """The field count of a row under the header `fields`: a row, or the error reading it."""
+    if isinstance(fields, csv.Error):  # a field beyond the csv module's size limit
+        raise TraceParseError(str(fields), line=1)
     header = [h.strip() for h in fields]
     if header not in (["timestamp_ms", "doc_id"], ["timestamp_ms", "doc_id", "user_id"]):
         raise TraceParseError(f"unexpected header {header!r}", line=1)
@@ -386,59 +390,47 @@ def _check_header(fields) -> int:
 
 
 def _assemble(ts, columns, lines, error, window_length: Optional[int]) -> Trace:
-    """The trace of the rows both tokenizers give, after the checks they
-    share: the first timestamp beyond the window, then `error` (the first
-    bad row, on a later line), then the first id that is not UTF-8.
+    """The trace of the rows either reader gives, after the checks they
+    share: the first timestamp beyond the window, then `error`, the
+    reader's own (the first fault, on a later line).
 
     `columns` holds, per id column, the codes of the rows and the sorted
-    names they index: decoded (an object array of str), or as a list of
-    bytes; `lines` holds each row's line, None when the rows are lines 2,
-    3, ...
+    names they index; `lines` holds each row's line, None when the rows
+    are lines 2, 3, ...
     """
-    def line(row: int) -> int:
-        return row + 2 if lines is None else int(lines[row])
-
     if window_length is not None and len(ts) and ts.max() > window_length:
         row = int(np.argmax(ts > window_length))
-        raise ValueError(f"line {line(row)}: timestamp {ts[row]} exceeds window {window_length}")
+        line = row + 2 if lines is None else int(lines[row])
+        raise ValueError(f"line {line}: timestamp {ts[row]} exceeds window {window_length}")
     if error is not None:
         raise error
-    tables, failures = [], []
-    for column, (codes, table) in enumerate(columns):
-        if isinstance(table, np.ndarray):
-            tables.append(table)
-            continue
-        try:
-            tables.append(np.array(list(map(bytes.decode, table)), dtype=object))
-        except UnicodeDecodeError:
-            bad = [code for code, name in enumerate(table)
-                   if name.decode("utf-8", "ignore").encode() != name]
-            failures.append((int(np.flatnonzero(np.isin(codes, bad))[0]), column))
-    if failures:
-        row, column = min(failures)
-        raise TraceParseError(f"{('doc_id', 'user_id')[column]} is not valid UTF-8",
-                              line=line(row))
-    users = (columns[1][0], tables[1]) if len(columns) > 1 else (None, None)
-    return _make_trace(ts, columns[0][0], tables[0], *users, window_length)
+    return _make_trace(ts, *itertools.chain(*columns), window_length=window_length)
 
 
 def _tokenize(data: bytes):
     """The rows of `data` by the stdlib csv reader, up to the first bad
-    one, as :func:`_assemble` takes them. Ids keep their bytes, undecodable
-    ones included. Rows are checked and interned a batch at a time, and
-    each table is sorted once at the end."""
-    reader = csv.reader(io.StringIO(data.decode("utf-8", "surrogateescape"), newline=""))
-    expected = _check_header(next(reader))
-    rows, tables = _rows(reader), [{} for _ in range(expected - 1)]
+    one, as :func:`_assemble` takes them; when none is bad, the error names
+    the first row holding an id that is not UTF-8. Rows are checked and
+    interned a batch at a time, and each table is sorted once at the end."""
+    # decoded as it is read, bytes that are not UTF-8 as lone surrogates
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogateescape",
+                                         newline=""))
+    rows = _rows(reader)
+    expected = _check_header(next(rows))
+    tables = [{} for _ in range(expected - 1)]
     parts = [[np.zeros(0, np.int64)], [np.zeros(0, np.int64)]] + [[np.zeros(0, np.int32)]
                                                                  for _ in tables]
-    line, error = 2, None
+    line, error = reader.line_num + 1, None
     while error is None:
         batch = list(itertools.islice(rows, _BATCH_ROWS))
         if not batch:
             break
         lines = np.arange(line, line + len(batch))
-        line += len(batch)
+        if reader.line_num != lines[-1]:  # a field spans lines: count the line ends in each
+            text = map(",".join, batch[:-1])  # not the last row, which may be an error
+            lines[1:] += np.cumsum([t.count("\n") + t.count("\r") - t.count("\r\n") for t in text],
+                                   dtype=np.int64)
+        line = reader.line_num + 1
         if isinstance(batch[-1], csv.Error):  # a field beyond the csv module's size limit
             error = TraceParseError(str(batch.pop()), line=int(lines[-1]))
             lines = lines[:-1]
@@ -456,11 +448,18 @@ def _tokenize(data: bytes):
         for table, ids, part in zip(tables, fields[1:], parts[2:]):
             part.append(_intern(ids, table))
     ts, lines, *codes = map(np.concatenate, parts)
-    columns = []
-    for out, table in zip(codes, tables):
-        names = [name.encode("utf-8", "surrogateescape") for name in table]
-        rank, names = _sorted_names(names, names)
-        columns.append((rank[out], names.tolist()))
+    columns, failures = [], []
+    for column, (out, table) in enumerate(zip(codes, tables)):
+        try:
+            rank, names = _sorted_names(list(table))
+            columns.append((rank[out], names))
+        except UnicodeEncodeError:  # the first row whose id held bytes that are not UTF-8
+            bad = np.array([name.encode("utf-8", "ignore").decode() != name for name in table])
+            failures.append((int(np.argmax(bad[out])), column))
+    if failures and error is None:
+        row, column = min(failures)
+        error = TraceParseError(f"{('doc_id', 'user_id')[column]} is not valid UTF-8",
+                                line=int(lines[row]))
     return ts, columns, lines, error
 
 
@@ -506,7 +505,7 @@ def _scan(data: bytes):
     """The rows of `data` by whole-array passes over blocks of its bytes,
     as :func:`_assemble` takes them, or None when the input is not plain
     (see :func:`parse_trace`) or holds a field beyond the csv module's
-    size limit."""
+    size limit or an id that is not UTF-8."""
     crlf = b"\r" in data
     if b'"' in data or crlf and data.count(b"\r") != data.count(b"\r\n"):
         return None
@@ -553,7 +552,10 @@ def _scan(data: bytes):
             column.add(starts[:, index], ends[:, index], row)
         row, pos = row + n, stop
     block = starts = ends = kinds = widths = block_ts = None  # not alive while names decode
-    return ts, [(column.codes, column.names()) for column in columns], None, None
+    try:
+        return ts, [(column.codes, column.names()) for column in columns], None, None
+    except UnicodeDecodeError:  # an id that is not UTF-8, which the csv reader names
+        return None
 
 
 def _digits(words: np.ndarray, ends: np.ndarray, widths: np.ndarray) -> Optional[np.ndarray]:
@@ -724,7 +726,7 @@ class _IdColumn:
 
     def names(self):
         """The distinct ids in ascending order, the codes recoded in place
-        to index them; the bytes of each when one is not UTF-8."""
+        to index them; UnicodeDecodeError when one is not UTF-8."""
         if self.pending:
             self._merge(len(self.codes))
         starts, lengths = self.table[:2]  # the hashes are freed
@@ -742,18 +744,15 @@ class _IdColumn:
         by_length = _stable_order(lengths)
         runs = np.flatnonzero(np.diff(lengths[by_length], prepend=-1, append=-1)).tolist()
         table, data = np.empty(len(starts), dtype=object), self.data
-        try:
-            for lo, hi in itertools.pairwise(runs):
-                width = int(lengths[by_length[lo]])
-                records = np.ndarray((len(data) - width + 1,), f"V{width}", data, strides=(1,))
-                step = max(1, _BLOCK_BYTES // 4 // (width + 1))
-                for part in range(lo, hi, step):
-                    ids = by_length[part:min(part + step, hi)]
-                    text = np.full((len(ids), width + 1), 10, np.uint8)
-                    text[:, :width] = records[starts[ids]].view(np.uint8).reshape(-1, width)
-                    table[ids] = str(text, "utf-8").split("\n")[:-1]
-        except UnicodeDecodeError:
-            return [data[lo:lo + size] for lo, size in zip(starts.tolist(), lengths.tolist())]
+        for lo, hi in itertools.pairwise(runs):
+            width = int(lengths[by_length[lo]])
+            records = np.ndarray((len(data) - width + 1,), f"V{width}", data, strides=(1,))
+            step = max(1, _BLOCK_BYTES // 4 // (width + 1))
+            for part in range(lo, hi, step):
+                ids = by_length[part:min(part + step, hi)]
+                text = np.full((len(ids), width + 1), 10, np.uint8)
+                text[:, :width] = records[starts[ids]].view(np.uint8).reshape(-1, width)
+                table[ids] = str(text, "utf-8").split("\n")[:-1]
         return table
 
 

@@ -82,6 +82,12 @@ def test_simulate_empty_trace_is_validation_error(tmp_path, capsys):
     assert code == 3
     assert "hit ratio undefined for an empty trace" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [path]
+    # a file with no header line is a parse error
+    for data in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(data)
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert "line 1: empty input, expected a header line" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -241,3 +241,8 @@ def test_curve_csv_roundtrip(rng):
     back = read_curve_csv(io.StringIO(buf.getvalue()))
     assert np.array_equal(back.cache_sizes, curve.cache_sizes)
     assert np.allclose(back.hit_ratios, curve.hit_ratios, rtol=1e-5)
+    # a blank row is skipped; another header is refused
+    blank = read_curve_csv(io.StringIO(buf.getvalue().replace("\n", "\n\n", 1)))
+    assert np.array_equal(blank.cache_sizes, curve.cache_sizes)
+    with pytest.raises(ValueError, match="unexpected curve header"):
+        read_curve_csv(io.StringIO("size,ratio\n1,0.5\n"))

@@ -74,6 +74,11 @@ def test_output_does_not_depend_on_input_order(kind):
         assert np.array_equal(out_a.doc_names[out_a.docs], out_b.doc_names[out_b.docs])
 
 
+def test_randomize_unknown_kind(rng):
+    with pytest.raises(ValueError, match="unknown randomization kind 'bogus'"):
+        randomize(random_trace(rng, 10, 3), "bogus", 0)
+
+
 @pytest.mark.parametrize("kind", RANDOMIZATION_KINDS)
 def test_randomization_memory_budget(rng, kind):
     # whole-array draws keep a few full-length temporaries; at 2**17 requests

@@ -127,6 +127,16 @@ def test_config_json_roundtrip():
     assert back.warmup_ms == 15.0
 
 
+@pytest.mark.parametrize("lambdas, taus, warmup, message", [
+    ([1.0, 2.0], [3.0], None, "lambdas and taus must be parallel, non-empty"),
+    ([0.0], [3.0], None, "rates and lifespans must be positive"),
+    ([1.0], [3.0], -1.0, "warmup must be non-negative"),
+], ids=["unequal-pools", "zero-rate", "negative-warmup"])
+def test_config_rejects_values_out_of_range(lambdas, taus, warmup, message):
+    with pytest.raises(ValueError, match=message):
+        GeneratorConfig(1.0, 10, np.array(lambdas), np.array(taus), warmup)
+
+
 def test_irm_single_doc():
     tr = generate_irm_trace([1.0], 50, window=1000, seed=3)
     assert len(tr) == 50

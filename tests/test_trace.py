@@ -64,6 +64,15 @@ def test_parse_error_names_line():
     # a field beyond the csv module's size limit, which the byte scan leaves to it
     with pytest.raises(TraceParseError, match="line 3: field larger than field limit"):
         parse_trace(io.BytesIO(b"timestamp_ms,doc_id\n1,a\n2," + b"x" * 200_000 + b"\n"))
+    # the byte scan gives up on an id that is not UTF-8, as on a quote
+    assert trace_module._scan(b"timestamp_ms,doc_id\n1,a\n2,\xff\xfe\n") is None
+    # a line number counts the lines of a quoted id before it that spans lines
+    with pytest.raises(TraceParseError, match="line 4: non-integer timestamp 'xx'"):
+        trace_from('timestamp_ms,doc_id\n1,"a\nb"\nxx,c\n')
+    with pytest.raises(TraceParseError, match="line 5: doc_id is not valid UTF-8"):
+        parse_trace(io.BytesIO(b'timestamp_ms,doc_id\n1,"a\r\n\rb"\n2,\xff\n'))
+    with pytest.raises(TraceParseError, match="line 4: field larger than field limit"):
+        parse_trace(io.BytesIO(b'timestamp_ms,doc_id\n1,"a\nb"\n2,"' + b"x" * 200_000 + b'"\n'))
 
 
 def test_parse_error_missing_field():
@@ -76,6 +85,9 @@ def test_parse_error_missing_field():
     with pytest.raises(TraceParseError, match="line 4: expected 2 fields, got 1"):
         trace_from("timestamp_ms,doc_id\n5,a\n\n6\n")
     assert list(trace_from("timestamp_ms,doc_id\n5,a\n\n6,b\n").timestamps) == [5, 6]
+    # after a quoted id that spans lines, the row's line in the file
+    with pytest.raises(TraceParseError, match="line 5: expected 2 fields, got 1"):
+        trace_from('timestamp_ms,doc_id\n1,"a\nb"\n2,c\n3\n')
 
 
 def test_parse_error_negative_timestamp():
@@ -86,6 +98,13 @@ def test_parse_error_negative_timestamp():
 def test_parse_error_bad_header():
     with pytest.raises(TraceParseError, match="header"):
         trace_from("time,doc\n0,a\n")
+    # no header at all: zero bytes, or only a byte-order mark
+    for data in (b"", b"\xef\xbb\xbf"):
+        with pytest.raises(TraceParseError, match="line 1: empty input, expected a header line"):
+            parse_trace(io.BytesIO(data))
+    # a quoted header field beyond the csv module's size limit
+    with pytest.raises(TraceParseError, match="line 1: field larger than field limit"):
+        parse_trace(io.BytesIO(b'"' + b"x" * 200_000 + b'",doc_id\n'))
 
 
 def test_parse_bom_header_from_path_and_bytes(tmp_path):
@@ -101,6 +120,8 @@ def test_parse_bom_header_from_path_and_bytes(tmp_path):
 def test_parse_timestamp_beyond_window():
     with pytest.raises(ValueError, match="exceeds window"):
         trace_from("timestamp_ms,doc_id\n0,a\n50,b\n", window=10)
+    with pytest.raises(ValueError, match="line 5: timestamp 50 exceeds window 10"):
+        trace_from('timestamp_ms,doc_id\n1,"a\nb"\n2,c\n50,d\n', window=10)
 
 
 def test_parse_user_column_and_crlf():
@@ -163,6 +184,8 @@ def test_consolidate_requires_users(rng):
     tr = random_trace(rng, 10, 3)
     with pytest.raises(ValueError, match="user"):
         consolidate_sessions(tr, 480_000)
+    with pytest.raises(ValueError, match="gap_threshold must be positive"):
+        consolidate_sessions(random_trace(rng, 10, 3, with_users=True), 0)
 
 
 def test_consolidate_idempotent(rng):

@@ -28,11 +28,13 @@ ms, a 3e7 ms window) with generator seed 2024: 2.93 M requests over
   (``ru_maxrss``), then once more under ``tracemalloc`` for its peak in
   bytes per request. It imports only ``cachechurn.trace`` and numpy. The
   files are the acceptance trace that ``generate`` wrote
-  (``acceptance``) and a trace of many distinct ids (``many_ids``),
-  which another child writes: 3 M rows over 2 M ids of 30 bytes each, the
-  numbers of a random permutation with their leading zeros (so the ids
-  tie on their first 23 bytes), every id once and then 1 M rows of
-  uniform ids, in a random order, at uniform times.
+  (``acceptance``); the same file with its first doc id quoted, which
+  sends all of it through the stdlib csv reader (``quoted``); and a
+  trace of many distinct ids (``many_ids``), which another child writes:
+  3 M rows over 2 M ids of 30 bytes each, the numbers of a random
+  permutation with their leading zeros (so the ids tie on their first 23
+  bytes), every id once and then 1 M rows of uniform ids, in a random
+  order, at uniform times.
 - ``stages``: in this process, on the acceptance trace built in memory,
   ``RUNS`` timed runs each of ``generate_box_trace``, ``serialize_trace``
   into a file, ``stack_distances``, each randomization (seed 2024),
@@ -132,6 +134,17 @@ parse_trace(sys.argv[1])
 result["peak_bytes_per_request"] = tracemalloc.get_traced_memory()[1] / result["requests"]
 print(json.dumps(result))
 """
+#: Copies the CSV file named by its first argument to the one named by its
+#: second, with the first row's doc id quoted.
+QUOTED = """
+import shutil, sys
+
+with open(sys.argv[1], "rb") as source, open(sys.argv[2], "wb") as out:
+    out.write(source.readline())
+    stamp, doc = source.readline().split(b",")
+    out.write(stamp + b',"' + doc.rstrip(b"\\n") + b'"\\n')
+    shutil.copyfileobj(source, out)
+"""
 #: Writes the trace of many distinct ids to the file named by its argument.
 MANY_IDS = """
 import sys
@@ -229,6 +242,8 @@ def cli_children(work: Path) -> dict:
         ]}, CLI_RUNS)
         acceptance = rounds(commands("acceptance", ACCEPTANCE_GRID), ACCEPTANCE_RUNS)
         parse_children = {"acceptance": parse("acceptance.csv")}
+        launch(QUOTED, "acceptance.csv", "quoted.csv")
+        parse_children["quoted"] = parse("quoted.csv")
         launch(MANY_IDS, "many_ids.csv")
         parse_children["many_ids"] = parse("many_ids.csv")
     finally:
