@@ -6,6 +6,8 @@ hit-ratio prediction for Poisson-published catalogs with box-shaped
 document popularities (an extension of the Che approximation), validated
 against simulation on synthetic traces.
 
+The root exports the pipeline's entry points and the types they take,
+return or raise; their building blocks are imported from their modules.
 Each public name is imported from its submodule on first use (PEP 562),
 so a process loads only the submodules whose names it uses.
 """
@@ -24,15 +26,12 @@ _EXPORTS = {
               "trace_stats"),
     "lrusim": ("HitRatioCurve", "StackDistanceProfile", "brute_force_lru", "hit_ratio_curve",
                "log_size_grid", "mare", "read_curve_csv", "stack_distances", "write_curve_csv"),
-    "shuffle": ("randomize", "randomize_global", "randomize_local", "randomize_positional",
-                "run_semi_experiments"),
+    "shuffle": ("randomize", "run_semi_experiments"),
     "estimators": ("EmpiricalJointSample", "build_joint_sample", "estimate_catalog_rate",
-                   "rank_frequency", "solve_n_prime"),
-    "boxmodel": ("WorkingSetModel", "box_hit_ratio_curve", "box_working_set",
-                 "characteristic_time", "expected_hits_per_doc", "irm_che_curve",
-                 "mean_expected_hits", "noise_working_set", "repeat_doc_window_mean"),
+                   "rank_frequency"),
+    "boxmodel": ("box_hit_ratio_curve", "box_working_set", "irm_che_curve"),
     "synth": ("GeneratorConfig", "generate_box_trace", "generate_irm_trace",
-              "monte_carlo_distinct_docs", "sample_population"),
+              "monte_carlo_distinct_docs"),
 }
 _OWNERS = {name: module for module, names in _EXPORTS.items() for name in names}
 

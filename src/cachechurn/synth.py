@@ -161,13 +161,8 @@ def sample_population(config: GeneratorConfig, rng: np.random.Generator) -> Popu
     span = warmup + config.window
     n_docs = rng.poisson(config.gamma * span)
     arrivals = np.sort(rng.uniform(-warmup, config.window, n_docs))
-    if len(config.lambdas) == 1:
-        lam = np.full(n_docs, config.lambdas[0])
-        tau = np.full(n_docs, config.taus[0])
-    else:
-        idx = rng.integers(0, len(config.lambdas), n_docs)
-        lam = config.lambdas[idx]
-        tau = config.taus[idx]
+    idx = rng.integers(0, len(config.lambdas), n_docs)  # a one-pair pool draws no bits
+    lam, tau = config.lambdas[idx], config.taus[idx]
     counts = rng.poisson(lam * tau)
     req_doc = np.repeat(np.arange(n_docs, dtype=np.int32 if n_docs < 2**31 else np.int64), counts)
     req_times = rng.random(len(req_doc))

@@ -904,8 +904,9 @@ def extract_subtrace(trace: Trace, duration: int) -> Trace:
     ts = trace.timestamps
     lo = hi = 0
     if len(ts):
-        # per candidate start ts[i], events within [ts[i], ts[i]+duration]
-        ends = np.searchsorted(ts, ts + duration, side="right")
+        # per candidate start ts[i], events within [ts[i], min(ts[i]+duration, window)]
+        ends = np.searchsorted(ts, np.minimum(ts, trace.window.length - duration) + duration,
+                               side="right")
         lo = int(np.argmax(ends - np.arange(len(ts))))  # the first maximum
         hi = int(ends[lo])
     # only the names the sub-trace requests, in new arrays: it shares none with the trace

@@ -504,6 +504,14 @@ def test_console_entrypoint_runs():
     assert proc.stdout.strip()
 
 
+def test_version_is_declared_once():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(cachechurn.__file__).parents[2] / "pyproject.toml"
+    config = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    assert "version" not in config["project"] and "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "cachechurn.__version__"}
+
+
 @pytest.mark.parametrize("argv, code", [
     (["simulate", "TRACE", "--sizes", "1,5,20", "--out", "o.csv"], 0),
     (["simulate", "TRACE", "--sizes", "nope", "--out", "o.csv"], 2),
@@ -612,4 +620,4 @@ print(json.dumps([bare, unresolved, len(cachechurn.__all__), star]))
 """
     bare, unresolved, count, star = run_probe(probe, cwd=tmp_path)
     assert bare == [] and unresolved == []
-    assert count == 43 and star == sorted(cachechurn.__all__)
+    assert count == 32 and star == sorted(cachechurn.__all__)

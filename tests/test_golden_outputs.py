@@ -7,7 +7,8 @@ digest and says why in CHANGES.md. The user-column digests lock session
 consolidation, user ids and CSV quoting; they were recorded from the tree
 before document and user ids were interned. The three shuffle digests were
 re-recorded at version 0.2.0, when each randomization became whole-array
-draws from one stream.
+draws from one stream. The fixed-pair generate digest, a one-pair pool,
+was recorded before the generator lost its one-pair branch.
 """
 
 import csv
@@ -29,6 +30,10 @@ GOLDEN = {
     "generate": (
         "e35efb6176c068cb2e1b875c7febc3c9"
         "21a187dd8fd542dfa3373f83f0f3dcf9"
+    ),
+    "generate_fixed_pair": (
+        "bed4ab6ccbf090521425cc43983c75b3"
+        "9c3049e9473dcc9c0bcefc7dc8f618e1"
     ),
     "simulate": (
         "1c7f4e07d5835c508767608a82d59829"
@@ -73,6 +78,9 @@ def digests(tmp_path_factory):
     trace = tmp / "trace.csv"
     runs = {
         "generate": (["generate", "--config", cfg, "--seed", 11], trace),
+        "generate_fixed_pair": (["generate", "--gamma", 0.004, "--window-ms", 400_000,
+                                 "--lambda", 0.002, "--tau", 3000, "--seed", 11],
+                                tmp / "fixed_pair.csv"),
         "simulate": (["simulate", trace, "--sizes", "log:1:max:25"], tmp / "sim.csv"),
         "predict_box": (["predict", trace, "--method", "box",
                          "--sizes", "log:5:max:25"], tmp / "box.csv"),

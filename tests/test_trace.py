@@ -211,6 +211,14 @@ def test_extract_subtrace_densest():
     assert list(sub.doc_names) == ["a", "b", "c"]  # "d" is gone from the table
 
 
+def test_extract_subtrace_near_int64_max():
+    # start + duration passes int64 here; the window [2**62, 2**63] holds both requests
+    tr = build_trace([2**62, 2**62 + 1], ["a", "b"])
+    sub = extract_subtrace(tr, 2**62)
+    assert list(sub.timestamps) == [0, 1]
+    assert list(doc_ids(sub)) == ["a", "b"]
+
+
 def test_extract_subtrace_empty():
     tr = build_trace([], [], window_length=50)
     sub = extract_subtrace(tr, 10)

@@ -78,6 +78,7 @@ import numpy as np
 
 import cachechurn
 from cachechurn.boxmodel import box_hit_ratio_curve
+from cachechurn.cli import _parse_grid_spec
 from cachechurn.estimators import build_joint_sample, estimate_catalog_rate, rank_frequency
 from cachechurn.lrusim import stack_distances
 from cachechurn.shuffle import (
@@ -288,8 +289,7 @@ def main() -> dict:
     timed("generate_box_trace", generate_box_trace, config, SEED)
     trace = generate_box_trace(config, SEED)
     docs = trace.distinct_docs
-    sizes = np.unique(np.rint(np.geomspace(round(0.01 * docs), round(0.4 * docs), 20)))
-    sizes = sizes.astype(np.int64)
+    sizes = _parse_grid_spec(ACCEPTANCE_GRID, docs)  # the CLI children's grid
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "trace.csv")
         timed("serialize_trace", write_csv, trace, path)
