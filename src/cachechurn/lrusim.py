@@ -20,7 +20,8 @@ from typing import Dict, Sequence, Union
 
 import numpy as np
 
-from .trace import _BLOCK, Trace, _stable_order
+from ._order import _BLOCK, _stable_order
+from .trace import Trace
 
 __all__ = [
     "StackDistanceProfile",

@@ -30,7 +30,8 @@ import numpy as np
 
 from . import RANDOMIZATION_KINDS
 from .lrusim import HitRatioCurve, hit_ratio_curve, mare
-from .trace import Trace, _make_trace, _stable_order
+from ._order import _stable_order
+from .trace import Trace, _make_trace
 
 __all__ = [
     "RANDOMIZATION_KINDS",

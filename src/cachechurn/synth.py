@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .trace import _BLOCK, Trace, _compact, _make_trace, _stable_order
+from ._order import _BLOCK, _stable_order
+from .trace import Trace, _compact, _make_trace
 
 __all__ = [
     "GeneratorConfig",

@@ -13,11 +13,14 @@ import codecs
 import csv
 import io
 import itertools
+import weakref
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
+
+from ._order import _BLOCK, _ranks, _stable_order
 
 __all__ = [
     "TraceParseError",
@@ -115,16 +118,26 @@ class Trace:
         return len(self.doc_names)
 
 
+#: The name tables checked, by id, while they live: each is read-only, so a
+#: trace derived from another shares its tables without comparing them again.
+_CHECKED = weakref.WeakValueDictionary()
+
+
 def _check_ids(codes, names, n: int, what: str) -> None:
     """Check one id column: an int32 code per request, each in range, into
-    an object array of strictly ascending names that are all used."""
+    an object array of strictly ascending names that are all used. A table
+    is made read-only once checked; its names are compared again only if it
+    is made writeable."""
     if not (isinstance(codes, np.ndarray) and codes.dtype == np.int32 and len(codes) == n
             and isinstance(names, np.ndarray) and names.dtype == object
             and (n == 0 or 0 <= codes.min() and codes.max() < len(names))
-            and not np.any(names[1:] <= names[:-1])
+            and (_CHECKED.get(id(names)) is names and not names.flags.writeable
+                 or not np.any(names[1:] <= names[:-1]))
             and _used(codes, len(names)).all()):
         raise ValueError(f"{what} ids must be int32 codes, one per request, "
                          "using every name of a strictly ascending object array")
+    names.flags.writeable = False
+    _CHECKED[id(names)] = names
 
 
 @dataclass(frozen=True)
@@ -151,8 +164,6 @@ class TraceSummary:
 #: Bytes of CSV the byte scan, and the serializer, take at a time, so their
 #: working arrays stay a small multiple of this whatever the trace's size.
 _BLOCK_BYTES = 1 << 18
-#: Requests per block of a pass whose temporaries would otherwise span a column.
-_BLOCK = 1 << 15
 #: The fewest groups of a column's ids that are merged into its table: a
 #: merge costs more per group than a block, so a small column is merged once.
 _MERGE_GROUPS = 1 << 17
@@ -198,14 +209,16 @@ def _compact(codes: np.ndarray, names: np.ndarray):
     return recode[codes], names[used]
 
 
-def _byte_order(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def _byte_order(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                lead: np.ndarray) -> np.ndarray:
     """The permutation that sorts the distinct ids of `lengths` bytes from
     `starts` by their bytes, which for UTF-8 is ``str`` order; `words` holds
-    the data's little-endian word at each byte. A pass reads the next 8
-    bytes of the ids still tied (zero past an id's end), skips those that
-    every run of tied ids shares, and sorts once by a uint64 key: the run,
-    the bytes compared so far that the id has (shorter first), and as many
-    bytes read as fit beside those and the index."""
+    the data's little-endian word at each byte, and `lead` each id's first
+    one. A pass reads the next 8 bytes of the ids still tied (zero past an
+    id's end), skips those that every run of tied ids shares, and sorts once
+    by a uint64 key: the run, the bytes compared so far that the id has
+    (shorter first), and as many bytes read as fit beside those and the
+    index."""
     order = np.arange(len(starts))
     new = np.zeros(len(order), bool)  # where a run of ids tied so far starts
     new[:1] = True
@@ -217,7 +230,8 @@ def _byte_order(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> n
         if not len(rows):
             break
         ids = order[rows]
-        word = _word(words, starts[ids] + at, np.maximum(lengths[ids] - at, 0)).byteswap()
+        word = (lead[ids] if at == 0 else  # the first pass reads no data
+                _word(words, starts[ids] + at, np.maximum(lengths[ids] - at, 0))).byteswap()
         differ = word[1:] ^ word[:-1]
         differ[new[rows[1:]]] = 0
         skip = (64 - int(np.bitwise_or.reduce(differ)).bit_length()) // 8
@@ -245,36 +259,12 @@ def _sorted_names(names: list):
     is ``str`` order, and the names in that order; UnicodeEncodeError when
     one holds a lone surrogate, which has no UTF-8 form."""
     encoded = [name.encode("utf-8") for name in names]
-    data = b"".join(encoded) + bytes(7)  # a word at each byte, the last ones too
+    data = b"".join(encoded) + bytes(8)  # a word at each byte, and past the last
+    words = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))
     lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
-    order = _byte_order(np.ndarray((len(data) - 7,), "<u8", data, strides=(1,)),
-                        np.cumsum(lengths) - lengths, lengths)
+    starts = np.cumsum(lengths) - lengths
+    order = _byte_order(words, starts, lengths, _word(words, starts, lengths))
     return _ranks(order), np.array(names, dtype=object)[order]
-
-
-def _ranks(order: np.ndarray) -> np.ndarray:
-    """The inverse of the permutation `order`, as int32."""
-    rank = np.empty(len(order), np.int32)
-    rank[order] = np.arange(len(order), dtype=np.int32)
-    return rank
-
-
-def _stable_order(keys: np.ndarray) -> np.ndarray:
-    """The permutation that sorts integer `keys` stably, by one sort of
-    distinct uint64 words, each key less the least above its index (faster
-    than numpy's stable sort); wider keys take their rank (below 2**32 keys)."""
-    n, bits = len(keys), max(len(keys) - 1, 1).bit_length()
-    low, high = (int(keys.min()), int(keys.max())) if n else (0, 0)
-    if (high - low).bit_length() + bits > 64:
-        keys, low = np.unique(keys, return_inverse=True)[1], 0
-    words = keys.astype(np.uint64)  # a negative key wraps, and the difference wraps back
-    words -= np.uint64(low % 2**64)
-    words <<= np.uint64(bits)
-    for lo in range(0, n, _BLOCK):  # no full-length index temporary
-        words[lo:lo + _BLOCK] |= np.arange(lo, min(lo + _BLOCK, n), dtype=np.uint64)
-    words.sort()
-    words &= np.uint64((1 << bits) - 1)
-    return words.view(np.int64)
 
 
 def _make_trace(
@@ -288,10 +278,9 @@ def _make_trace(
     sorted in place: every caller hands over one it owns."""
     ts = np.asarray(timestamps, dtype=np.int64)
     if (ts[1:] < ts[:-1]).any():  # else already in order, and no copies are made
-        order = _stable_order(ts)
+        order = _stable_order(ts, sort=True)
         docs, users = docs[order], None if users is None else users[order]
         del order
-        ts.sort()
     if window_length is None:
         window_length = max(int(ts[-1]) if len(ts) else 0, 1)
     window = ObservationWindow(int(window_length))
@@ -619,7 +608,9 @@ def _group_ids(data: bytes, words: np.ndarray, starts: np.ndarray, lengths: np.n
     split = np.zeros(len(first), bool)  # the runs whose ids differ
     split[run[_unlike_previous(words, starts, lengths, order, new, read)]] = True
     fresh = (first >= known) & ~split
-    number = np.where(fresh, np.cumsum(fresh) + (known - 1), first)
+    number = np.cumsum(fresh, dtype=np.int32)
+    number += np.int32(known - 1)
+    np.copyto(number, first, where=~fresh)
     group = np.empty(n, np.int32)
     group[order] = number[run]
     del number
@@ -667,22 +658,27 @@ def _unlike_previous(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
 
 class _IdColumn:
     """One id column of the byte scan: an int32 code per row into a table
-    of its distinct ids, each held as where one copy starts, its length and
-    its hash. Each block's ids are grouped; the groups wait until they are
-    as many as the table holds, and `_MERGE_GROUPS`, then are merged into it
-    and their rows recoded. So the merges take time in proportion to the
-    rows, and memory in proportion to the distinct ids plus one block."""
+    of its distinct ids, each held as where one copy starts, its length, its
+    first word and its hash. Each block's ids are grouped; the groups wait
+    until they are as many as the table holds, and `_MERGE_GROUPS`, then are
+    merged into it and their rows recoded. So the merges take time in
+    proportion to the rows, and memory in proportion to the distinct ids
+    plus one block. The first words spare the merges, the byte order and
+    the names of short ids any read of the data."""
 
     def __init__(self, data: bytes, words: np.ndarray, rows: int):
         self.data, self.words = data, words
         self.codes = np.empty(rows, np.int32)
-        self.table = (np.zeros(0, np.int64), np.zeros(0, np.int32), np.zeros(0, np.uint64))
+        offset = np.int32 if len(data) < 2**31 else np.int64  # where a copy starts
+        self.table = (np.zeros(0, offset), np.zeros(0, np.int32), np.zeros(0, np.uint64),
+                      np.zeros(0, np.uint64))
         self.pending, self.waiting, self.merged = [], 0, 0  # groups, their count, rows
 
     def add(self, starts: np.ndarray, ends: np.ndarray, row: int) -> None:
         """Group the block's ids, of the rows from `row` on: a hash of each,
         its length and then each 8-byte word xor-ed in and multiplied by
-        _MIX; the words every id has are kept to check the groups by."""
+        _MIX; the words every id has are kept to check the groups by, and
+        the first of them waits with each group."""
         lengths = (ends - starts).astype(np.int32)
         key, shortest, read = lengths.astype(np.uint64), int(lengths.min()), []
         for at in range(0, int(lengths.max()), 8):
@@ -692,33 +688,26 @@ class _IdColumn:
             if at < shortest:
                 read.append(word)
         group, first = _group_ids(self.data, self.words, starts, lengths, key, read=read)
-        del read
         # a group's code counts after the table and the groups already waiting
         self.codes[row:row + len(group)] = group + (len(self.table[0]) + self.waiting)
-        self.pending.append((starts[first], lengths[first], key[first]))
+        self.pending.append((starts[first].astype(self.table[0].dtype), lengths[first],
+                             read[0][first], key[first]))
+        del read
         self.waiting += len(first)
         if self.waiting >= max(len(self.table[0]), _MERGE_GROUPS):
             self._merge(row + len(group))
 
     def _merge(self, stop: int) -> None:
         """Merge the waiting groups into the table, and recode the rows up
-        to `stop`; the new ids follow the table in the order of their first
-        copies, so the table holds a file's ids in its order, which reads
-        faster."""
+        to `stop`; the new ids follow the table in the order of their
+        numbers, that is of their hashes."""
         known = len(self.table[0])
-        starts, lengths, key = map(np.concatenate, zip(self.table, *self.pending))
+        starts, lengths, lead, key = map(np.concatenate, zip(self.table, *self.pending))
         self.table, self.pending, self.waiting = None, [], 0
-        group, first = _group_ids(self.data, self.words, starts, lengths, key, known)
-        mark = np.zeros(len(key), bool)
-        mark[first] = True
-        place = np.cumsum(mark, dtype=np.int32)[first] + np.int32(known - 1)
-        moved = group >= known
-        group[moved] = place[group[moved] - known]
-        first = np.flatnonzero(mark)
-        del mark, place, moved
+        group, first = _group_ids(self.data, self.words, starts, lengths, key, known, (lead,))
         self.table = tuple(np.concatenate([part[:known], part[first]])
-                           for part in (starts, lengths, key))
-        del starts, lengths, key, first
+                           for part in (starts, lengths, lead, key))
+        del starts, lengths, lead, key, first
         for lo in range(self.merged, stop, _BLOCK):
             codes = self.codes[lo:min(lo + _BLOCK, stop)]
             codes[:] = group[codes]  # the waiting groups follow the table, as in `group`
@@ -729,30 +718,40 @@ class _IdColumn:
         to index them; UnicodeDecodeError when one is not UTF-8."""
         if self.pending:
             self._merge(len(self.codes))
-        starts, lengths = self.table[:2]  # the hashes are freed
+        starts, lengths, lead = self.table[:3]  # the hashes are freed
         self.table = None
-        order = _byte_order(self.words, starts, lengths)
+        order = _byte_order(self.words, starts, lengths, lead)
         rank = _ranks(order)
         for lo in range(0, len(self.codes), _BLOCK):  # no index copy of the whole column
             self.codes[lo:lo + _BLOCK] = rank[self.codes[lo:lo + _BLOCK]]
         del rank
-        starts, lengths = starts[order], lengths[order]
+        starts = starts[order]  # one copy at a time
+        lengths = lengths[order]
+        lead = lead[order].astype("<u8", copy=False) if lengths.min(initial=8) < 8 else None
         del order
-        # the ids of each length gathered as records, each with a "\n" after
-        # it, and decoded and split a slice at a time: so the names are made
-        # in their order, and compare fast later
-        by_length = _stable_order(lengths)
-        runs = np.flatnonzero(np.diff(lengths[by_length], prepend=-1, append=-1)).tolist()
+        # the ids of each length decoded and split a slice at a time, so the
+        # names are made in their order, and compare fast later: an id of up
+        # to 7 bytes is its first word with a "\n" set after it (then NULs), a
+        # longer one is gathered from the data as a record, and a "\n" added
+        one = not len(lengths) or lengths.min() == lengths.max()  # then in order as they are
+        by_length = None if one else _stable_order(lengths).astype(np.int32)
+        runs = ([0, len(lengths)][:len(lengths) + 1] if one else
+                np.flatnonzero(np.diff(lengths[by_length], prepend=-1, append=-1)).tolist())
         table, data = np.empty(len(starts), dtype=object), self.data
         for lo, hi in itertools.pairwise(runs):
-            width = int(lengths[by_length[lo]])
+            width = int(lengths[lo if one else by_length[lo]])
             records = np.ndarray((len(data) - width + 1,), f"V{width}", data, strides=(1,))
             step = max(1, _BLOCK_BYTES // 4 // (width + 1))
             for part in range(lo, hi, step):
-                ids = by_length[part:min(part + step, hi)]
-                text = np.full((len(ids), width + 1), 10, np.uint8)
-                text[:, :width] = records[starts[ids]].view(np.uint8).reshape(-1, width)
-                table[ids] = str(text, "utf-8").split("\n")[:-1]
+                stop = min(part + step, hi)
+                ids = slice(part, stop) if one else by_length[part:stop]
+                if width < 8:
+                    text, end = lead[ids].copy(), "\n" + "\0" * (7 - width)
+                    text |= np.uint64(10 << 8 * width)
+                else:
+                    text, end = np.full((stop - part, width + 1), 10, np.uint8), "\n"
+                    text[:, :width] = records[starts[ids]].view(np.uint8).reshape(-1, width)
+                table[ids] = np.fromiter(str(text, "utf-8").split(end), object, stop - part)
         return table
 
 
@@ -760,8 +759,9 @@ def serialize_trace(trace: Trace, writer) -> None:
     """Write a trace as CSV, the inverse of :func:`parse_trace`.
 
     Emits the ``user_id`` column only when the trace carries users. Each
-    id column's table is formatted once by the stdlib ``csv`` writer; the
-    rows are then gathered from those bytes, a block at a time.
+    id column's table is formatted once, as the stdlib ``csv`` writer would
+    (by the writer itself for a slice of it that holds a name it quotes);
+    the rows are then gathered from those bytes, a block at a time.
     """
     columns = [(trace.docs, trace.doc_names)]
     if trace.users is not None:
@@ -777,8 +777,12 @@ def serialize_trace(trace: Trace, writer) -> None:
             bounds.append(len(source))
             source += b"0"
             for lo in range(0, len(names), _BLOCK // 8):
-                row = fields.writerow([0, *names[lo:lo + _BLOCK // 8]])
-                source += row[1:-1].encode("utf-8", "surrogatepass")
+                part = names[lo:lo + _BLOCK // 8].tolist()
+                text = "," + ",".join(part)  # the writer's, where no name needs quotes
+                if (quoting != csv.QUOTE_MINIMAL or text.count(",") > len(part)
+                        or '"' in text or "\n" in text):
+                    text = fields.writerow([0, *part])[1:-1]
+                source += text.encode("utf-8", "surrogatepass")
             source += b"\n"
         if b"\r" not in source:
             break

@@ -603,7 +603,7 @@ def test_each_command_loads_only_the_modules_it_runs(trace_file, pool_config, tm
     argv = [files.get(arg, arg) for arg in argv] + ["--out", "out.csv"]
     code, loaded, numpy_ma = run_probe(COMMAND_PROBE, *argv, cwd=tmp_path)
     assert code == 0
-    assert loaded == sorted(modules + ["cli"])
+    assert loaded == sorted(modules + ["_order", "cli"])  # `trace` loads `_order`
     assert not numpy_ma  # neither a size grid nor a default warmup imports numpy.ma
 
 

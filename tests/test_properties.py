@@ -352,8 +352,12 @@ keys_extreme = st.lists(st.sampled_from([-2**63, -2**63 + 1, -1, 0, 2**62, 2**63
 @example(keys=np.array([2**63 - 1, 0], dtype=np.int64))  # all 64 bits, no rank
 @example(keys=np.array([2**63 - 1, -2**63, 0, 2**63 - 1], dtype=np.int64))  # rank
 def test_stable_order_matches_stable_argsort(keys):
-    order = trace_module._stable_order(keys)
-    assert np.array_equal(order, np.argsort(keys, kind="stable"))
+    expected = np.argsort(keys, kind="stable")
+    assert np.array_equal(trace_module._stable_order(keys), expected)
+    if keys.dtype == np.int64:  # the keys sorted in place too, from the words or not
+        copy = keys.copy()
+        assert np.array_equal(trace_module._stable_order(copy, sort=True), expected)
+        assert np.array_equal(copy, keys[expected])
 
 
 #: ids for the byte order: ASCII with NULs, 2-, 3- and 4-byte UTF-8, and

@@ -7,6 +7,7 @@ import pytest
 
 from cachechurn import trace as trace_module
 from cachechurn.estimators import build_joint_sample, rank_frequency
+from cachechurn.shuffle import randomize
 from cachechurn.trace import (
     ObservationWindow,
     Trace,
@@ -320,6 +321,28 @@ def test_hash_collision_splits_group(monkeypatch):
     for field in ("timestamps", "docs", "doc_names", "users", "user_names"):
         assert getattr(got, field).tolist() == getattr(expected, field).tolist()
     assert list(doc_ids(got)) == ["a", "a\x00", "bb", "a", "bb"]
+    # and with a merge after each block: user ids of up to 8, 9 to 16 and
+    # over 16 bytes, some alike but for their length or last byte, told
+    # apart by their first word and then by the data, as the csv reader
+    # reads them
+    users = ["x" * size + tail for size in (1, 5, 7, 8, 9, 15, 16, 17, 24, 31)
+             for tail in ("", "a", "\x00", "\xe9")]
+    rows = [(t, f"d{t % 3}", users[7 * t % len(users)]) for t in range(3 * len(users))]
+    data = ("timestamp_ms,doc_id,user_id\n"
+            + "".join(f"{t},{doc},{user}\n" for t, doc, user in rows)).encode()
+    expected = trace_module._assemble(*trace_module._tokenize(data), None)
+    monkeypatch.setattr(trace_module, "_MERGE_GROUPS", 1)
+    scanned = trace_module._scan(data)
+    assert scanned is not None
+    got = trace_module._assemble(*scanned, None)
+    for field in ("timestamps", "docs", "doc_names", "users", "user_names"):
+        assert getattr(got, field).tolist() == getattr(expected, field).tolist()
+    assert got.user_names.tolist() == sorted(users)
+    assert got.user_names[got.users].tolist() == [user for _, _, user in rows]
+    # two ids alike in their first word and length, alone in their group
+    # when their blocks merge, differ only in the data
+    _, columns, _, _ = trace_module._scan(b"timestamp_ms,doc_id\n0,xxxxxxxxxa\n1,xxxxxxxxxb\n")
+    assert columns[0][1].tolist() == ["xxxxxxxxxa", "xxxxxxxxxb"]
 
 
 def test_long_ids_checked_a_few_at_a_time(monkeypatch):
@@ -388,6 +411,27 @@ def test_trace_checks_its_id_invariant():
             Trace(ts, codes, table, None, None, window)
     with pytest.raises(ValueError, match="user ids"):
         Trace(ts, np.array([0, 1, 0], np.int32), names, None, names, window)
+
+
+def test_derived_traces_reuse_only_checked_tables():
+    # a checked table is read-only, and a trace derived from its trace
+    # shares it without comparing its names again; a table that is not the
+    # checked one, or a checked one made writeable and changed, is checked
+    tr = build_trace([0, 1, 2, 3], ["a", "b", "a", "c"], ["u", "v", "u", "w"])
+    assert not tr.doc_names.flags.writeable and not tr.user_names.flags.writeable
+    derived = consolidate_sessions(tr, 10)
+    assert derived.doc_names is tr.doc_names and derived.user_names is tr.user_names
+    reversed_view = tr.doc_names[::-1]  # read-only, as its base is, but never checked
+    for table in reversed_view, reversed_view.copy():
+        with pytest.raises(ValueError, match="doc ids"):
+            trace_module._make_trace(tr.timestamps.copy(), tr.docs, table)
+    names = tr.user_names
+    names.flags.writeable = True
+    names[[0, 1]] = names[[1, 0]]
+    for derive in (lambda: consolidate_sessions(tr, 10), lambda: randomize(tr, "global", 0),
+                   lambda: extract_subtrace(tr, 3)):
+        with pytest.raises(ValueError, match="user ids"):
+            derive()
 
 
 def test_parse_memory_follows_the_ids():

@@ -26,15 +26,24 @@ ms, a 3e7 ms window) with generator seed 2024: 2.93 M requests over
 - ``cli.parse_children``: one child per CSV file parses it with
   ``parse_trace``, once for wall time and its own peak RSS
   (``ru_maxrss``), then once more under ``tracemalloc`` for its peak in
-  bytes per request. It imports only ``cachechurn.trace`` and numpy. The
+  bytes per request. ``peak_split_bytes_per_request`` splits that peak
+  into what the file's bytes, the names' ``str`` objects and the Trace's
+  arrays hold, and the rest (``working``), the parse's working arrays
+  alive at the peak. It imports only ``cachechurn.trace`` and numpy. The
   files are the acceptance trace that ``generate`` wrote
   (``acceptance``); the same file with its first doc id quoted, which
-  sends all of it through the stdlib csv reader (``quoted``); and a
-  trace of many distinct ids (``many_ids``), which another child writes:
-  3 M rows over 2 M ids of 30 bytes each, the numbers of a random
-  permutation with their leading zeros (so the ids tie on their first 23
-  bytes), every id once and then 1 M rows of uniform ids, in a random
-  order, at uniform times.
+  sends all of it through the stdlib csv reader (``quoted``); a trace of
+  many distinct ids (``many_ids``), which another child writes: 3 M rows
+  over 2 M ids of 30 bytes each, the numbers of a random permutation with
+  their leading zeros (so the ids tie on their first 23 bytes), every id
+  once and then 1 M rows of uniform ids, in a random order, at uniform
+  times; and the acceptance trace with a user column as the benchmark's
+  ``semi-sessions`` input has one (``users``): each row's user drawn
+  uniformly from 100,000 and named ``u%05d``, with no session repeats.
+- ``cli.users_children``: ``ACCEPTANCE_RUNS`` rounds of ``shuffle --kind
+  local --gap-ms 480000`` on that file with users, as the benchmark's
+  ``shuffle_local`` operation runs: session consolidation, the
+  randomization and the whole trace written back.
 - ``stages``: in this process, on the acceptance trace built in memory,
   ``RUNS`` timed runs each of ``generate_box_trace``, ``serialize_trace``
   into a file, ``stack_distances``, each randomization (seed 2024),
@@ -131,8 +140,17 @@ result = {"s": time.perf_counter() - started, "requests": len(trace),
           "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 del trace
 tracemalloc.start()
-parse_trace(sys.argv[1])
-result["peak_bytes_per_request"] = tracemalloc.get_traced_memory()[1] / result["requests"]
+trace = parse_trace(sys.argv[1])
+peak = tracemalloc.get_traced_memory()[1]
+tables = [table for table in (trace.doc_names, trace.user_names) if table is not None]
+held = {"file": result["bytes"],
+        "str": sum(sys.getsizeof(name) for table in tables for name in table),
+        "arrays": sum(array.nbytes for array in (trace.timestamps, trace.docs, trace.users,
+                                                 *tables) if array is not None)}
+held["working"] = peak - sum(held.values())
+result["peak_bytes_per_request"] = peak / result["requests"]
+result["peak_split_bytes_per_request"] = {part: size / result["requests"]
+                                          for part, size in held.items()}
 print(json.dumps(result))
 """
 #: Copies the CSV file named by its first argument to the one named by its
@@ -145,6 +163,20 @@ with open(sys.argv[1], "rb") as source, open(sys.argv[2], "wb") as out:
     stamp, doc = source.readline().split(b",")
     out.write(stamp + b',"' + doc.rstrip(b"\\n") + b'"\\n')
     shutil.copyfileobj(source, out)
+"""
+#: Copies the CSV file named by its first argument to the one named by its
+#: second, with a user column: each row's user uniform among 100,000.
+USERS = """
+import sys
+import numpy as np
+
+rng = np.random.default_rng(int(sys.argv[3]))
+with open(sys.argv[1], "rb") as source, open(sys.argv[2], "wb") as out:
+    out.write(source.readline().rstrip(b"\\n") + b",user_id\\n")
+    for lines in iter(lambda: source.readlines(1 << 20), []):
+        users = rng.integers(0, 100_000, len(lines)).tolist()
+        out.writelines(line.rstrip(b"\\n") + b",u%05d\\n" % user
+                       for line, user in zip(lines, users))
 """
 #: Writes the trace of many distinct ids to the file named by its argument.
 MANY_IDS = """
@@ -247,12 +279,18 @@ def cli_children(work: Path) -> dict:
         parse_children["quoted"] = parse("quoted.csv")
         launch(MANY_IDS, "many_ids.csv")
         parse_children["many_ids"] = parse("many_ids.csv")
+        launch(USERS, "acceptance.csv", "users.csv", str(SEED))
+        parse_children["users"] = parse("users.csv")
+        users = rounds({"shuffle_local": ["shuffle", "users.csv", "--kind", "local", "--gap-ms",
+                                          "480000", "--seed", str(SEED), "--out", "local.csv"]},
+                       ACCEPTANCE_RUNS)
     finally:
         launcher.stdin.close()
         launcher.wait()
     return {"gamma": CLI_GAMMA, "requests": len(trace), "docs": docs, "runs": CLI_RUNS,
             "children": children, "acceptance_runs": ACCEPTANCE_RUNS,
-            "acceptance_children": acceptance, "parse_children": parse_children}
+            "acceptance_children": acceptance, "parse_children": parse_children,
+            "users_children": users}
 
 
 def write_csv(trace, path: str) -> None:
