@@ -1,10 +1,9 @@
-"""Stable orders of integer keys by one sort of packed words, for the
-trace, its randomizations, the stack-distance pass and the generators.
+"""Stable orders of integer keys by one sort of packed words.
 
-Apart from :mod:`cachechurn.trace`, so that module stays below the 8,192
-tokens at which CPython's parser doubles its token array: a command that
-writes no bytecode compiles it from source, and the step shows in its
-peak RSS.
+The one home of the ordering helpers that the trace parser, its
+randomizations (:mod:`cachechurn.shuffle`), the stack-distance pass
+(:mod:`cachechurn.lrusim`) and the generators (:mod:`cachechurn.synth`)
+share.
 """
 
 import numpy as np

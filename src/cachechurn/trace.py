@@ -118,16 +118,18 @@ class Trace:
         return len(self.doc_names)
 
 
-#: The name tables checked, by id, while they live: each is read-only, so a
-#: trace derived from another shares its tables without comparing them again.
+#: The name tables checked, by id, while they live: each owns its data and
+#: is read-only, so a trace derived from another shares its tables without
+#: comparing them again.
 _CHECKED = weakref.WeakValueDictionary()
 
 
 def _check_ids(codes, names, n: int, what: str) -> None:
     """Check one id column: an int32 code per request, each in range, into
     an object array of strictly ascending names that are all used. A table
-    is made read-only once checked; its names are compared again only if it
-    is made writeable."""
+    is made read-only once checked; one that owns its data is registered,
+    and its names are compared again only if it is made writeable. A view
+    is compared every time: its base may still be written."""
     if not (isinstance(codes, np.ndarray) and codes.dtype == np.int32 and len(codes) == n
             and isinstance(names, np.ndarray) and names.dtype == object
             and (n == 0 or 0 <= codes.min() and codes.max() < len(names))
@@ -137,7 +139,8 @@ def _check_ids(codes, names, n: int, what: str) -> None:
         raise ValueError(f"{what} ids must be int32 codes, one per request, "
                          "using every name of a strictly ascending object array")
     names.flags.writeable = False
-    _CHECKED[id(names)] = names
+    if names.flags.owndata:
+        _CHECKED[id(names)] = names
 
 
 @dataclass(frozen=True)
@@ -733,18 +736,17 @@ class _IdColumn:
         # names are made in their order, and compare fast later: an id of up
         # to 7 bytes is its first word with a "\n" set after it (then NULs), a
         # longer one is gathered from the data as a record, and a "\n" added
-        one = not len(lengths) or lengths.min() == lengths.max()  # then in order as they are
-        by_length = None if one else _stable_order(lengths).astype(np.int32)
-        runs = ([0, len(lengths)][:len(lengths) + 1] if one else
-                np.flatnonzero(np.diff(lengths[by_length], prepend=-1, append=-1)).tolist())
+        by_length = _stable_order(lengths).astype(np.int32)
+        count = np.bincount(lengths)  # ids of each length, so each length's run
+        widths = np.flatnonzero(count)
+        runs = itertools.pairwise([0, *np.cumsum(count[widths]).tolist()])
         table, data = np.empty(len(starts), dtype=object), self.data
-        for lo, hi in itertools.pairwise(runs):
-            width = int(lengths[lo if one else by_length[lo]])
+        for width, (lo, hi) in zip(widths.tolist(), runs):
             records = np.ndarray((len(data) - width + 1,), f"V{width}", data, strides=(1,))
             step = max(1, _BLOCK_BYTES // 4 // (width + 1))
             for part in range(lo, hi, step):
                 stop = min(part + step, hi)
-                ids = slice(part, stop) if one else by_length[part:stop]
+                ids = by_length[part:stop]
                 if width < 8:
                     text, end = lead[ids].copy(), "\n" + "\0" * (7 - width)
                     text |= np.uint64(10 << 8 * width)

@@ -416,7 +416,8 @@ def test_trace_checks_its_id_invariant():
 def test_derived_traces_reuse_only_checked_tables():
     # a checked table is read-only, and a trace derived from its trace
     # shares it without comparing its names again; a table that is not the
-    # checked one, or a checked one made writeable and changed, is checked
+    # checked one, a checked one made writeable and changed, or a checked
+    # view whose base is changed, is checked
     tr = build_trace([0, 1, 2, 3], ["a", "b", "a", "c"], ["u", "v", "u", "w"])
     assert not tr.doc_names.flags.writeable and not tr.user_names.flags.writeable
     derived = consolidate_sessions(tr, 10)
@@ -430,6 +431,15 @@ def test_derived_traces_reuse_only_checked_tables():
     names[[0, 1]] = names[[1, 0]]
     for derive in (lambda: consolidate_sessions(tr, 10), lambda: randomize(tr, "global", 0),
                    lambda: extract_subtrace(tr, 3)):
+        with pytest.raises(ValueError, match="user ids"):
+            derive()
+    base = np.array(["u", "v", "w"], dtype=object)
+    tr = build_trace([0, 1, 2, 3], ["a", "b", "a", "c"], ["u", "v", "u", "w"])
+    viewed = Trace(tr.timestamps, tr.docs, tr.doc_names, tr.users, base[:], tr.window)
+    assert base.flags.writeable and not viewed.user_names.flags.writeable
+    base[[0, 1]] = base[[1, 0]]
+    for derive in (lambda: consolidate_sessions(viewed, 10),
+                   lambda: randomize(viewed, "global", 0), lambda: extract_subtrace(viewed, 3)):
         with pytest.raises(ValueError, match="user ids"):
             derive()
 
