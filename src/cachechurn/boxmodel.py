@@ -388,5 +388,4 @@ def irm_che_curve(
         cache_sizes=sizes,
         relative_sizes=sizes / m,
         hit_ratios=ratios,
-        total_requests=int(total),
     )

@@ -91,7 +91,6 @@ class HitRatioCurve:
     cache_sizes: np.ndarray
     relative_sizes: np.ndarray
     hit_ratios: np.ndarray
-    total_requests: int = 0
 
     def __post_init__(self):
         object.__setattr__(
@@ -270,7 +269,6 @@ def hit_ratio_curve(trace: Trace, sizes: Sequence[int]) -> HitRatioCurve:
         cache_sizes=sizes,
         relative_sizes=sizes / distinct,
         hit_ratios=hits / total,
-        total_requests=total,
     )
 
 

@@ -13,7 +13,6 @@ import codecs
 import csv
 import io
 import itertools
-import weakref
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Optional, Sequence
@@ -118,29 +117,16 @@ class Trace:
         return len(self.doc_names)
 
 
-#: The name tables checked, by id, while they live: each owns its data and
-#: is read-only, so a trace derived from another shares its tables without
-#: comparing them again.
-_CHECKED = weakref.WeakValueDictionary()
-
-
 def _check_ids(codes, names, n: int, what: str) -> None:
     """Check one id column: an int32 code per request, each in range, into
-    an object array of strictly ascending names that are all used. A table
-    is made read-only once checked; one that owns its data is registered,
-    and its names are compared again only if it is made writeable. A view
-    is compared every time: its base may still be written."""
+    an object array of strictly ascending names that are all used."""
     if not (isinstance(codes, np.ndarray) and codes.dtype == np.int32 and len(codes) == n
             and isinstance(names, np.ndarray) and names.dtype == object
             and (n == 0 or 0 <= codes.min() and codes.max() < len(names))
-            and (_CHECKED.get(id(names)) is names and not names.flags.writeable
-                 or not np.any(names[1:] <= names[:-1]))
+            and not np.any(names[1:] <= names[:-1])
             and _used(codes, len(names)).all()):
         raise ValueError(f"{what} ids must be int32 codes, one per request, "
                          "using every name of a strictly ascending object array")
-    names.flags.writeable = False
-    if names.flags.owndata:
-        _CHECKED[id(names)] = names
 
 
 @dataclass(frozen=True)
@@ -383,8 +369,8 @@ def _check_header(fields) -> int:
 
 def _assemble(ts, columns, lines, error, window_length: Optional[int]) -> Trace:
     """The trace of the rows either reader gives, after the checks they
-    share: the first timestamp beyond the window, then `error`, the
-    reader's own (the first fault, on a later line).
+    share: the first timestamp beyond the window, unless `error`, the
+    reader's own, lies on an earlier line.
 
     `columns` holds, per id column, the codes of the rows and the sorted
     names they index; `lines` holds each row's line, None when the rows
@@ -393,7 +379,8 @@ def _assemble(ts, columns, lines, error, window_length: Optional[int]) -> Trace:
     if window_length is not None and len(ts) and ts.max() > window_length:
         row = int(np.argmax(ts > window_length))
         line = row + 2 if lines is None else int(lines[row])
-        raise ValueError(f"line {line}: timestamp {ts[row]} exceeds window {window_length}")
+        if error is None or line <= error.line:
+            raise ValueError(f"line {line}: timestamp {ts[row]} exceeds window {window_length}")
     if error is not None:
         raise error
     return _make_trace(ts, *itertools.chain(*columns), window_length=window_length)
@@ -401,8 +388,8 @@ def _assemble(ts, columns, lines, error, window_length: Optional[int]) -> Trace:
 
 def _tokenize(data: bytes):
     """The rows of `data` by the stdlib csv reader, up to the first bad
-    one, as :func:`_assemble` takes them; when none is bad, the error names
-    the first row holding an id that is not UTF-8. Rows are checked and
+    one, as :func:`_assemble` takes them; the error names that row, or an
+    earlier one holding an id that is not UTF-8. Rows are checked and
     interned a batch at a time, and each table is sorted once at the end."""
     # decoded as it is read, bytes that are not UTF-8 as lone surrogates
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogateescape",
@@ -448,7 +435,7 @@ def _tokenize(data: bytes):
         except UnicodeEncodeError:  # the first row whose id held bytes that are not UTF-8
             bad = np.array([name.encode("utf-8", "ignore").decode() != name for name in table])
             failures.append((int(np.argmax(bad[out])), column))
-    if failures and error is None:
+    if failures:  # every row kept lies before the first bad one
         row, column = min(failures)
         error = TraceParseError(f"{('doc_id', 'user_id')[column]} is not valid UTF-8",
                                 line=int(lines[row]))

@@ -74,6 +74,9 @@ def test_parse_error_names_line():
         parse_trace(io.BytesIO(b'timestamp_ms,doc_id\n1,"a\r\n\rb"\n2,\xff\n'))
     with pytest.raises(TraceParseError, match="line 4: field larger than field limit"):
         parse_trace(io.BytesIO(b'timestamp_ms,doc_id\n1,"a\nb"\n2,"' + b"x" * 200_000 + b'"\n'))
+    # a bad row after an id that is not UTF-8: the first fault by line is named
+    with pytest.raises(TraceParseError, match="line 3: doc_id is not valid UTF-8"):
+        parse_trace(io.BytesIO(b"timestamp_ms,doc_id\n1,a\n2,\xff\n3,b\n4\n"))
 
 
 def test_parse_error_missing_field():
@@ -123,6 +126,12 @@ def test_parse_timestamp_beyond_window():
         trace_from("timestamp_ms,doc_id\n0,a\n50,b\n", window=10)
     with pytest.raises(ValueError, match="line 5: timestamp 50 exceeds window 10"):
         trace_from('timestamp_ms,doc_id\n1,"a\nb"\n2,c\n50,d\n', window=10)
+    # an id that is not UTF-8 on an earlier line is the first fault; on the
+    # same line, the timestamp is
+    with pytest.raises(TraceParseError, match="line 2: doc_id is not valid UTF-8"):
+        parse_trace(io.BytesIO(b"timestamp_ms,doc_id\n1,\xff\n50,a\n"), 10)
+    with pytest.raises(ValueError, match="line 2: timestamp 50 exceeds window 10"):
+        parse_trace(io.BytesIO(b"timestamp_ms,doc_id\n50,\xff\n1,a\n"), 10)
 
 
 def test_parse_user_column_and_crlf():
@@ -414,15 +423,13 @@ def test_trace_checks_its_id_invariant():
 
 
 def test_derived_traces_reuse_only_checked_tables():
-    # a checked table is read-only, and a trace derived from its trace
-    # shares it without comparing its names again; a table that is not the
-    # checked one, a checked one made writeable and changed, or a checked
-    # view whose base is changed, is checked
+    # a trace derived from another shares its tables; a table that is not
+    # the parent's, a parent table changed, or a view whose base is
+    # changed, is checked
     tr = build_trace([0, 1, 2, 3], ["a", "b", "a", "c"], ["u", "v", "u", "w"])
-    assert not tr.doc_names.flags.writeable and not tr.user_names.flags.writeable
     derived = consolidate_sessions(tr, 10)
     assert derived.doc_names is tr.doc_names and derived.user_names is tr.user_names
-    reversed_view = tr.doc_names[::-1]  # read-only, as its base is, but never checked
+    reversed_view = tr.doc_names[::-1]  # never checked
     for table in reversed_view, reversed_view.copy():
         with pytest.raises(ValueError, match="doc ids"):
             trace_module._make_trace(tr.timestamps.copy(), tr.docs, table)
@@ -436,12 +443,30 @@ def test_derived_traces_reuse_only_checked_tables():
     base = np.array(["u", "v", "w"], dtype=object)
     tr = build_trace([0, 1, 2, 3], ["a", "b", "a", "c"], ["u", "v", "u", "w"])
     viewed = Trace(tr.timestamps, tr.docs, tr.doc_names, tr.users, base[:], tr.window)
-    assert base.flags.writeable and not viewed.user_names.flags.writeable
     base[[0, 1]] = base[[1, 0]]
     for derive in (lambda: consolidate_sessions(viewed, 10),
                    lambda: randomize(viewed, "global", 0), lambda: extract_subtrace(viewed, 3)):
         with pytest.raises(ValueError, match="user ids"):
             derive()
+
+
+def test_derived_traces_check_a_table_made_read_only_again():
+    # a parent table made writeable, changed and made read-only again is
+    # compared by every trace derived from it
+    tr = build_trace([0, 1, 2, 3], ["a", "b", "a", "c"], ["u", "v", "u", "w"])
+    names = tr.user_names
+    names.flags.writeable = True
+    names[[0, 1]] = names[[1, 0]]
+    names.flags.writeable = False
+    for derive in (lambda: consolidate_sessions(tr, 10), lambda: randomize(tr, "global", 0),
+                   lambda: randomize(tr, "positional", 0), lambda: randomize(tr, "local", 0),
+                   lambda: extract_subtrace(tr, 3)):
+        with pytest.raises(ValueError, match="user ids"):
+            derive()
+    # building a Trace leaves the caller's arrays as they were
+    mine = np.array(["a", "b"], dtype=object)
+    Trace(np.array([0, 1]), np.array([0, 1], np.int32), mine, None, None, ObservationWindow(5))
+    assert mine.flags.writeable
 
 
 def test_parse_memory_follows_the_ids():

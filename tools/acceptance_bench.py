@@ -50,7 +50,15 @@ ms, a 3e7 ms window) with generator seed 2024: 2.93 M requests over
   ``run_semi_experiments`` (all three and their four curve passes, grid
   ``log:305:12188:20``), ``trace_stats``, ``build_joint_sample``,
   ``rank_frequency`` and ``box_hit_ratio_curve`` (from the joint sample
-  and catalog rate that ``predict --method box`` builds). Per stage: the
+  and catalog rate that ``predict --method box`` builds). After the
+  randomizations, the trace gets a user column through ``Trace``: each
+  request's user drawn uniformly among 100,000 with ``default_rng(SEED)``
+  and named ``u%05d``, so the table of the users drawn is ascending as
+  made. Then
+  ``consolidate_sessions_users`` times ``consolidate_sessions`` of it with
+  a 480,000 ms gap, and ``randomize_<kind>_users`` each randomization of
+  the consolidated trace: traces derived from a trace with users, as the
+  benchmark's ``semi-sessions`` workload derives them. Per stage: the
   wall times, their minimum, and ``ru_maxrss_mb``, this process's peak
   RSS after the stage's runs (it only grows, so it is the peak of every
   stage up to that one). ``generate_box_trace``, ``serialize_trace``,
@@ -94,7 +102,7 @@ from cachechurn.shuffle import (
     randomize_global, randomize_local, randomize_positional, run_semi_experiments,
 )
 from cachechurn.synth import GeneratorConfig, generate_box_trace
-from cachechurn.trace import parse_trace, serialize_trace, trace_stats
+from cachechurn.trace import Trace, consolidate_sessions, parse_trace, serialize_trace, trace_stats
 
 RUNS = 3
 CLI_RUNS = 5
@@ -338,6 +346,18 @@ def main() -> dict:
     for fn in (randomize_global, randomize_positional, randomize_local):
         timed(fn.__name__, fn, trace, SEED)
     traced("randomize_global", randomize_global, trace, SEED)
+    draws = np.random.default_rng(SEED).integers(0, 100_000, len(trace))
+    drawn, users = np.unique(draws, return_inverse=True)
+    user_names = np.array([f"u{user:05d}" for user in drawn.tolist()], dtype=object)
+    with_users = Trace(trace.timestamps, trace.docs, trace.doc_names, users.astype(np.int32),
+                       user_names, trace.window)
+    del draws, drawn, users
+    timed("consolidate_sessions_users", consolidate_sessions, with_users, 480_000)
+    consolidated = consolidate_sessions(with_users, 480_000)
+    del with_users
+    for fn in (randomize_global, randomize_positional, randomize_local):
+        timed(f"{fn.__name__}_users", fn, consolidated, SEED)
+    del consolidated
     timed("run_semi_experiments", run_semi_experiments, trace, sizes, SEED)
     for fn in (trace_stats, build_joint_sample, rank_frequency):
         timed(fn.__name__, fn, trace)
