@@ -8,7 +8,7 @@ share.
 
 import numpy as np
 
-#: Requests per block of a pass whose temporaries would otherwise span a column.
+#: Rows per block of a pass whose temporaries would otherwise span a column.
 _BLOCK = 1 << 15
 
 

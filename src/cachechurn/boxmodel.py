@@ -23,6 +23,8 @@ from typing import TYPE_CHECKING, Callable, List, Sequence
 
 import numpy as np
 
+from ._order import _BLOCK
+
 if TYPE_CHECKING:  # an annotation only: `validate` runs without estimators
     from .estimators import EmpiricalJointSample
 
@@ -64,8 +66,9 @@ def _gap_weight(x):
     x = np.asarray(x, dtype=float)
     out = np.asarray(-np.expm1(-x) - x * np.exp(-x))
     small = x < SERIES_THRESHOLD
-    x = x[small]  # the series only on the cells that use it
-    out[small] = 0.5 * x * x * (1 - (2.0 / 3.0) * x + 0.25 * x * x - x**3 / 15.0 + x**4 / 72.0)
+    if small.any():  # the series only on the cells that use it
+        x = x[small]
+        out[small] = 0.5 * x * x * (1 - (2.0 / 3.0) * x + 0.25 * x * x - x**3 / 15.0 + x**4 / 72.0)
     return out if out.ndim else float(out)
 
 
@@ -76,6 +79,26 @@ def _ws_pair(lam, tau, t):
     so past the lifespan (t > tau) it grows linearly in t."""
     s = np.minimum(tau, t)
     return 2.0 * s + _one_minus_exp(lam * s) * (np.maximum(tau, t) - s - 2.0 / lam)
+
+
+def _lifespan_split(kernel, lam, tau, slope):
+    """The population mean of `kernel(lam, tau, t)` as a function of t, for a
+    per-pair kernel that grows by `slope` per ms once tau < t. Such pairs come
+    from prefix sums over the pairs sorted by tau; only live ones evaluate
+    `kernel`, per t and block, so batched calls equal one-size calls bitwise."""
+    order = np.argsort(tau, kind="stable")
+    lam, tau, slope = lam[order], tau[order], slope[order]
+    intercepts = np.concatenate(([0.0], np.cumsum(kernel(lam, tau, tau) - slope * tau)))
+    slopes = np.concatenate(([0.0], np.cumsum(slope)))
+
+    def mean(t):  # a float for a 0-d t
+        ts = np.atleast_1d(t)
+        dead = np.searchsorted(tau, ts)
+        live = [sum(kernel(lam[k:k + _BLOCK], tau[k:k + _BLOCK], x).sum()
+                    for k in range(j, len(tau), _BLOCK)) for j, x in zip(dead.tolist(), ts.tolist())]
+        out = (intercepts[dead] + slopes[dead] * ts + live) / len(tau)
+        return out if np.ndim(t) else float(out[0])
+    return mean
 
 
 def box_working_set(t, gamma: float, lambdas, taus):
@@ -111,10 +134,7 @@ def box_working_set(t, gamma: float, lambdas, taus):
     tau = np.asarray(taus, dtype=float)
     if len(lam) == 0:
         return np.zeros_like(t_arr) if t_arr.ndim else 0.0
-    tt = np.atleast_1d(t_arr)[:, None]
-    per_pair = _ws_pair(lam, tau, tt)
-    out = gamma * per_pair.mean(axis=1)
-    return out if t_arr.ndim else float(out[0])
+    return gamma * _lifespan_split(_ws_pair, lam, tau, _one_minus_exp(lam * tau))(t_arr)
 
 
 def noise_working_set(t, n_singles: int, window: int):
@@ -173,16 +193,16 @@ class WorkingSetModel:
     def __post_init__(self):
         if self.sample.n2 > 0 and self.gamma_hat <= 0:
             raise ValueError("gamma_hat must be positive for a non-empty sample")
+        lam, tau = self.sample.lambdas, self.sample.taus  # prefix tables built once
+        object.__setattr__(self, "_repeat_mean", _lifespan_split(
+            repeat_doc_window_mean, lam, tau, _gap_weight(lam * tau)))
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
         noise = noise_working_set(t_arr, self.sample.n1, self.sample.window)
         if self.sample.n2 == 0:
             return noise
-        tt = np.atleast_1d(t_arr)[:, None]
-        kernel = repeat_doc_window_mean(self.sample.lambdas, self.sample.taus, tt)
-        out = noise + self.gamma_hat * kernel.mean(axis=1)
-        return out if t_arr.ndim else float(out[0])
+        return noise + self.gamma_hat * self._repeat_mean(t_arr)
 
 
 @dataclass(frozen=True)
@@ -222,8 +242,8 @@ def characteristic_time(
         below a cache size: the cache is larger than the reachable catalog.
     """
     sizes = np.atleast_1d(np.asarray(cache_sizes, dtype=float))
-    if np.any(sizes <= 0):
-        raise ValueError("cache_size must be positive")
+    if not np.all((sizes > 0) & (sizes < np.inf)):  # NaN fails both
+        raise ValueError("cache_size must be positive and finite")
     if initial_upper <= 0:
         raise ValueError("initial_upper must be positive")
     lo = np.zeros_like(sizes)
@@ -298,10 +318,8 @@ def mean_expected_hits(lambdas, taus, t_c):
     lam = np.asarray(lambdas, dtype=float)
     if len(lam) == 0:
         raise ValueError("empty population")
-    t_arr = np.asarray(t_c, dtype=float)
-    tt = np.atleast_1d(t_arr)[:, None]
-    out = expected_hits_per_doc(lam, np.asarray(taus, float), tt).mean(axis=1)
-    return out if t_arr.ndim else float(out[0])
+    mean = _lifespan_split(expected_hits_per_doc, lam, np.asarray(taus, float), np.zeros_like(lam))
+    return mean(np.asarray(t_c, dtype=float))  # each pair's hits are constant past its lifespan
 
 
 def box_hit_ratio_curve(

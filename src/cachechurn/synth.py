@@ -181,7 +181,7 @@ def _indexed_trace(times, docs, used, n_docs: int, window: int) -> Trace:
     sort like their indices, so the table is ascending as made: from 10**8
     documents on, every index is padded to the width of the largest."""
     width = max(8, len(str(n_docs - 1)))
-    names = np.array([f"d{i:0{width}d}" for i in used.tolist()], dtype=object)
+    names = np.array(list(map(f"d%0{width}d".__mod__, used.tolist())), dtype=object)
     return _make_trace(times, docs, names, window_length=window)
 
 
@@ -195,11 +195,15 @@ def generate_box_trace(config: GeneratorConfig, seed) -> Trace:
     pop = sample_population(config, np.random.default_rng(seed))
     times, docs, n_docs = pop.req_times, pop.req_doc, len(pop.arrivals)
     del pop  # so each request column is held once
-    inside = (times >= 0) & (times <= config.window)
-    docs, used = _compact(docs[inside], np.arange(n_docs))
-    times = times[inside]
-    del inside
-    times = np.floor(times + 0.5, out=times).astype(np.int64)
+    kept = 0
+    for lo in range(0, len(times), _BLOCK):  # the rows inside the window, moved down in place
+        inside = (times[lo:lo + _BLOCK] >= 0) & (times[lo:lo + _BLOCK] <= config.window)
+        rows = lo + np.flatnonzero(inside)
+        end = kept + len(rows)
+        times[kept:end], docs[kept:end] = np.floor(times[rows] + 0.5), docs[rows]
+        kept = end
+    docs, used = _compact(docs[:kept], np.arange(n_docs))
+    times = times[:kept].astype(np.int64)
     return _indexed_trace(times, docs, used, n_docs, config.window)
 
 
@@ -265,19 +269,22 @@ def monte_carlo_distinct_docs(
     """
     if reps < 2:
         raise ValueError("reps must be >= 2")
+    if min_requests < 1:
+        raise ValueError("min_requests must be >= 1")
     t_grid = np.asarray(sorted(t_grid), dtype=float)
-    if np.any(t_grid < 0) or np.any(t_grid > config.window):
-        raise ValueError("t_grid values must lie within [0, window]")
+    if not np.all((t_grid >= 0) & (t_grid <= config.window)):  # NaN fails both
+        raise ValueError("t_grid values must be finite and lie within [0, window]")
     counts = np.empty((reps, len(t_grid)), dtype=np.int64)
     for rep in range(reps):
         trace = generate_box_trace(config, np.random.SeedSequence([seed, rep]))
         # a document counts at t when its min_requests-th request is within [0, t]
-        per_doc = np.bincount(trace.docs)
-        kth = (np.cumsum(per_doc) - per_doc)[per_doc >= min_requests] + (min_requests - 1)
-        kth_times = np.sort(trace.timestamps[_stable_order(trace.docs)[kth]])
-        counts[rep] = np.searchsorted(kth_times, t_grid, side="right")
-    mean = counts.mean(axis=0)
+        if min_requests == 1:
+            kth_times = np.full(trace.distinct_docs, np.iinfo(np.int64).max)
+            np.minimum.at(kth_times, trace.docs, trace.timestamps)
+        else:
+            per_doc = np.bincount(trace.docs)
+            kth = (np.cumsum(per_doc) - per_doc)[per_doc >= min_requests] + (min_requests - 1)
+            kth_times = trace.timestamps[_stable_order(trace.docs)[kth]]
+        counts[rep] = np.searchsorted(np.sort(kth_times), t_grid, side="right")
     stderr = counts.std(axis=0, ddof=1) / math.sqrt(reps)
-    return MonteCarloDistinct(
-        t=t_grid, mean=mean, stderr=stderr, reps=reps, min_requests=min_requests
-    )
+    return MonteCarloDistinct(t_grid, counts.mean(axis=0), stderr, reps, min_requests)

@@ -215,6 +215,15 @@ def test_characteristic_time_random_instances(rng):
         assert abs(ws(tc.t_c) - c) <= 1e-6 * c
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_characteristic_time_rejects_non_finite_sizes(bad):
+    # a NaN passes `size <= 0` and an inf the residual bound: both once gave a t_C
+    ws = lambda t: box_working_set(t, 1.0, [1.0], [2.0])
+    for sizes in ([bad], [1.0, bad]):
+        with pytest.raises(ValueError, match="positive and finite"):
+            characteristic_time(sizes, ws)
+
+
 def test_characteristic_time_plateau_error():
     with pytest.raises(ValueError, match="reachable catalog"):
         characteristic_time(20.0, lambda t: np.minimum(t, 10.0))

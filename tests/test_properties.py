@@ -1,5 +1,6 @@
 """Property tests: the batched characteristic-time inverter, the bounds
-of the predicted hit-ratio curve and the gap weight's two forms; the
+of the predicted hit-ratio curve, the box model's lifespan split against
+its old broadcast means and the gap weight's two forms; the
 rounded cache-size grid, exact stack distances, the CSV round trip, the
 two CSV tokenizers and the serializer against the stdlib csv module,
 session consolidation, the packed-key stable sort, the byte
@@ -20,12 +21,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from cachechurn.boxmodel import (
     SERIES_THRESHOLD,
+    WorkingSetModel,
     _gap_weight,
+    _ws_pair,
     box_hit_ratio_curve,
     box_working_set,
     characteristic_time,
+    expected_hits_per_doc,
+    mean_expected_hits,
+    noise_working_set,
+    repeat_doc_window_mean,
 )
-from cachechurn.estimators import build_joint_sample, estimate_catalog_rate
+from cachechurn.estimators import EmpiricalJointSample, build_joint_sample, estimate_catalog_rate
 from cachechurn.lrusim import _rounded_sizes, brute_force_lru, stack_distances
 from cachechurn.shuffle import randomize_global, randomize_local, randomize_positional
 from cachechurn import __version__, synth, trace as trace_module
@@ -101,6 +108,44 @@ def test_box_curve_within_cold_miss_ceiling(requests):
     ceiling = 1.0 - sample.distinct_docs / len(trace)
     assert np.all(curve.hit_ratios >= -SLACK)
     assert np.all(curve.hit_ratios <= ceiling + SLACK)
+
+
+def broadcast_mean(kernel, lam, tau, t):
+    """The population mean of a per-pair kernel at each t, as the box model
+    took it before the lifespan split: one ``.mean(axis=1)`` over every
+    (t, pair) cell."""
+    return kernel(lam, tau, np.asarray(t, dtype=float)[:, None]).mean(axis=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    # lambda * tau >= 1e-3: below it both forms lose digits to the cancellation
+    # of 2 tau (1 - e^-x) against G(x) 4 / lambda, and differ by ~4e-12 at 1e-5
+    log_pairs=st.lists(st.tuples(st.floats(-4, -1), st.floats(1, 4)), min_size=1, max_size=40),
+    log_t=st.lists(st.floats(-1, 7), max_size=10),
+    at_tau=st.lists(st.integers(0, 39), max_size=4),
+    n1=st.integers(0, 50),
+)
+@example(log_pairs=[(-2.0, 3.0)], log_t=[2.0, 4.0], at_tau=[0], n1=0)  # one pair, t = tau
+def test_lifespan_split_matches_broadcast(log_pairs, log_t, at_tau, n1):
+    lam = 10.0 ** np.array([p[0] for p in log_pairs])
+    tau = 10.0 ** np.array([p[1] for p in log_pairs])
+    # t = 0, windows on both sides of every lifespan, and lifespans exactly
+    t = np.array([0.0] + [10.0**e for e in log_t] + [tau[i % len(tau)] for i in at_tau])
+    window, gamma = 10**6, 0.01
+    model = WorkingSetModel(gamma, EmpiricalJointSample(lam, tau, n1, len(lam), 2.0, window))
+    want = noise_working_set(t, n1, window) + gamma * broadcast_mean(
+        repeat_doc_window_mean, lam, tau, t)
+    np.testing.assert_allclose(model(t), want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(mean_expected_hits(lam, tau, t),
+                               broadcast_mean(expected_hits_per_doc, lam, tau, t),
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(box_working_set(t, gamma, lam, tau),
+                               gamma * broadcast_mean(_ws_pair, lam, tau, t), rtol=1e-12, atol=0)
+    batched = model(t)  # each t alone, as one-size arrays and as scalars
+    for i, x in enumerate(t):
+        assert_same_bits(model(t[i:i + 1]), batched[i:i + 1])
+        assert_same_bits(model(float(x)), float(batched[i]))
 
 
 def gap_weight_by_where(x):

@@ -198,6 +198,17 @@ def test_monte_carlo_rejects_bad_grid():
         monte_carlo_distinct_docs(config, [2000.0], reps=10, seed=1)
     with pytest.raises(ValueError):
         monte_carlo_distinct_docs(config, [500.0], reps=1, seed=1)
+    for bad in (np.nan, np.inf, -np.inf):  # a NaN once counted every document at t = NaN
+        with pytest.raises(ValueError, match="finite"):
+            monte_carlo_distinct_docs(config, [500.0, bad], reps=3, seed=1)
+
+
+@pytest.mark.parametrize("min_requests", [0, -1])
+def test_monte_carlo_rejects_min_requests_below_one(min_requests):
+    # these once counted a few documents per window instead of raising
+    config = GeneratorConfig.fixed_pair(0.01, 100000, 0.01, 3000.0)
+    with pytest.raises(ValueError, match="min_requests"):
+        monte_carlo_distinct_docs(config, [1000.0], 3, 1, min_requests)
 
 
 def test_trace_summary_of_generated_trace_consistent():

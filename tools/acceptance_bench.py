@@ -50,7 +50,10 @@ ms, a 3e7 ms window) with generator seed 2024: 2.93 M requests over
   ``run_semi_experiments`` (all three and their four curve passes, grid
   ``log:305:12188:20``), ``trace_stats``, ``build_joint_sample``,
   ``rank_frequency`` and ``box_hit_ratio_curve`` (from the joint sample
-  and catalog rate that ``predict --method box`` builds). After the
+  and catalog rate that ``predict --method box`` builds), and
+  ``monte_carlo_distinct_docs`` as the ``validate`` child at gamma = 1e-4
+  per ms runs it: the 1e6 ms window, ``lin:100000:1000000:10``, 50
+  replications, seed 2024. After the
   randomizations, the trace gets a user column through ``Trace``: each
   request's user drawn uniformly among 100,000 with ``default_rng(SEED)``
   and named ``u%05d``, so the table of the users drawn is ascending as
@@ -95,13 +98,13 @@ import numpy as np
 
 import cachechurn
 from cachechurn.boxmodel import box_hit_ratio_curve
-from cachechurn.cli import _parse_grid_spec
+from cachechurn.cli import _parse_grid_spec, _parse_t_grid
 from cachechurn.estimators import build_joint_sample, estimate_catalog_rate, rank_frequency
 from cachechurn.lrusim import stack_distances
 from cachechurn.shuffle import (
     randomize_global, randomize_local, randomize_positional, run_semi_experiments,
 )
-from cachechurn.synth import GeneratorConfig, generate_box_trace
+from cachechurn.synth import GeneratorConfig, generate_box_trace, monte_carlo_distinct_docs
 from cachechurn.trace import Trace, consolidate_sessions, parse_trace, serialize_trace, trace_stats
 
 RUNS = 3
@@ -111,6 +114,8 @@ CLI_GAMMA = 1e-4
 SEED = 2024
 #: 1 % to 40 % of the acceptance trace's 30,469 documents, 20 sizes
 ACCEPTANCE_GRID = "log:305:12188:20"
+#: The ``validate`` children's window lengths, within their 1e6 ms window
+T_GRID = "lin:100000:1000000:10"
 ROOT = Path(__file__).resolve().parent.parent
 #: Starts ``bench/launcher.py``'s jobs and adds to each result the
 #: ``time.monotonic()`` right after the child was reaped.
@@ -229,8 +234,8 @@ def commands(name: str, sizes: str) -> dict:
         "predict_classic": ["predict", trace, "--method", "classic", *grid,
                             "--out", "classic.csv"],
         "shuffle_all": ["shuffle", trace, "--kind", "all", *grid, *seed, "--out", "all.csv"],
-        "validate": ["validate", "--config", f"{name}_mc.json", "--t-grid",
-                     "lin:100000:1000000:10", "--reps", "50", *seed, "--out", "validate.csv"],
+        "validate": ["validate", "--config", f"{name}_mc.json", "--t-grid", T_GRID,
+                     "--reps", "50", *seed, "--out", "validate.csv"],
     }
 
 
@@ -364,6 +369,9 @@ def main() -> dict:
     sample = build_joint_sample(trace)
     gamma_hat = estimate_catalog_rate(trace_stats(trace), trace.window.length)
     timed("box_hit_ratio_curve", box_hit_ratio_curve, sample, gamma_hat, sizes)
+    mc_config = GeneratorConfig.from_json(cli_config(10**6))  # the validate child's
+    timed("monte_carlo_distinct_docs", monte_carlo_distinct_docs, mc_config,
+          _parse_t_grid(T_GRID, 10**6), 50, SEED)
     src_lines = sum(path.read_bytes().count(b"\n")
                     for path in (ROOT / "src" / "cachechurn").glob("*.py"))
     return {"requests": len(trace), "docs": docs, "runs": RUNS, "stages": stages, "cli": cli,
