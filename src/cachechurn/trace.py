@@ -352,9 +352,9 @@ def parse_trace(reader, window_length: Optional[int] = None) -> Trace:
         data = data.removeprefix(codecs.BOM_UTF8)
     if not data:
         raise TraceParseError("empty input, expected a header line", line=1)
-    rows = _scan(data) or _tokenize(data)
-    del data  # the rows hold no reference to it
-    return _assemble(*rows, window_length)
+    ts, columns = _scan(data, window_length) or _tokenize(data, window_length)
+    del data  # the columns hold no reference to it
+    return _make_trace(ts, *itertools.chain(*columns), window_length=window_length)
 
 
 def _check_header(fields) -> int:
@@ -367,51 +367,48 @@ def _check_header(fields) -> int:
     return len(header)
 
 
-def _assemble(ts, columns, lines, error, window_length: Optional[int]) -> Trace:
-    """The trace of the rows either reader gives, after the checks they
-    share: the first timestamp beyond the window, unless `error`, the
-    reader's own, lies on an earlier line.
-
-    `columns` holds, per id column, the codes of the rows and the sorted
-    names they index; `lines` holds each row's line, None when the rows
-    are lines 2, 3, ...
-    """
+def _raise_first_fault(ts, columns, window_length, lines):
+    """Raise the first fault by line of the rows with timestamps `ts` and id
+    `columns` on `lines`, if any: an id that is not UTF-8, or a timestamp
+    beyond the window, which wins over an id on its own row."""
+    faults = []  # (row, whether an id's, message): on one row, the window's sorts first
     if window_length is not None and len(ts) and ts.max() > window_length:
-        row = int(np.argmax(ts > window_length))
-        line = row + 2 if lines is None else int(lines[row])
-        if error is None or line <= error.line:
-            raise ValueError(f"line {line}: timestamp {ts[row]} exceeds window {window_length}")
-    if error is not None:
-        raise error
-    return _make_trace(ts, *itertools.chain(*columns), window_length=window_length)
+        row = np.argmax(ts > window_length)
+        faults.append((row, False, f"timestamp {ts[row]} exceeds window {window_length}"))
+    for column, ids in zip(("doc_id", "user_id"), columns):
+        try:
+            "".join(ids).encode()
+        except UnicodeEncodeError as exc:  # bytes that are not UTF-8, read as lone surrogates
+            row = np.cumsum(list(map(len, ids))).searchsorted(exc.start, "right")
+            faults.append((row, True, f"{column} is not valid UTF-8"))
+    if faults:
+        row, bad_id, message = min(faults)
+        line = int(lines[row])
+        raise TraceParseError(message, line) if bad_id else ValueError(f"line {line}: {message}")
 
 
-def _tokenize(data: bytes):
-    """The rows of `data` by the stdlib csv reader, up to the first bad
-    one, as :func:`_assemble` takes them; the error names that row, or an
-    earlier one holding an id that is not UTF-8. Rows are checked and
-    interned a batch at a time, and each table is sorted once at the end."""
+def _tokenize(data: bytes, window_length: Optional[int]):
+    """The rows of `data` by the stdlib csv reader: their timestamps, and
+    per id column their codes and the sorted names these index. Rows are
+    checked and interned a batch at a time, and the first fault by line is
+    raised with the batch that holds it; each table is sorted once at the end."""
     # decoded as it is read, bytes that are not UTF-8 as lone surrogates
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogateescape",
                                          newline=""))
     rows = _rows(reader)
     expected = _check_header(next(rows))
     tables = [{} for _ in range(expected - 1)]
-    parts = [[np.zeros(0, np.int64)], [np.zeros(0, np.int64)]] + [[np.zeros(0, np.int32)]
-                                                                 for _ in tables]
-    line, error = reader.line_num + 1, None
-    while error is None:
-        batch = list(itertools.islice(rows, _BATCH_ROWS))
-        if not batch:
-            break
+    parts = [[np.zeros(0, np.int64)]] + [[np.zeros(0, np.int32)] for _ in tables]
+    line = reader.line_num + 1
+    while batch := list(itertools.islice(rows, _BATCH_ROWS)):
         lines = np.arange(line, line + len(batch))
         if reader.line_num != lines[-1]:  # a field spans lines: count the line ends in each
             text = map(",".join, batch[:-1])  # not the last row, which may be an error
             lines[1:] += np.cumsum([t.count("\n") + t.count("\r") - t.count("\r\n") for t in text],
                                    dtype=np.int64)
-        line = reader.line_num + 1
+        line, error = reader.line_num + 1, None
         if isinstance(batch[-1], csv.Error):  # a field beyond the csv module's size limit
-            error = TraceParseError(str(batch.pop()), line=int(lines[-1]))
+            error = TraceParseError(str(batch.pop()), int(lines[-1]))
             lines = lines[:-1]
         if not all(batch):  # blank rows are skipped
             lines = lines[list(map(bool, batch))]
@@ -419,27 +416,19 @@ def _tokenize(data: bytes):
         fields = _batch_fields(batch, expected)
         if fields is None:  # name the first bad row, and keep the rows before it
             errors = map(_row_error, batch, itertools.repeat(expected), lines.tolist())
-            good, error = next((n, e) for n, e in enumerate(errors) if e is not None)
+            good, error = next((n, e) for n, e in enumerate(errors) if e)
             batch, lines = batch[:good], lines[:good]
             fields = _batch_fields(batch, expected)
+        _raise_first_fault(*fields, window_length, lines)
+        if error:  # which lies after the rows kept
+            raise error
         parts[0].append(fields[0])
-        parts[1].append(lines)
-        for table, ids, part in zip(tables, fields[1:], parts[2:]):
+        for table, ids, part in zip(tables, fields[1], parts[1:]):
             part.append(_intern(ids, table))
-    ts, lines, *codes = map(np.concatenate, parts)
-    columns, failures = [], []
-    for column, (out, table) in enumerate(zip(codes, tables)):
-        try:
-            rank, names = _sorted_names(list(table))
-            columns.append((rank[out], names))
-        except UnicodeEncodeError:  # the first row whose id held bytes that are not UTF-8
-            bad = np.array([name.encode("utf-8", "ignore").decode() != name for name in table])
-            failures.append((int(np.argmax(bad[out])), column))
-    if failures:  # every row kept lies before the first bad one
-        row, column = min(failures)
-        error = TraceParseError(f"{('doc_id', 'user_id')[column]} is not valid UTF-8",
-                                line=int(lines[row]))
-    return ts, columns, lines, error
+    ts, *codes = map(np.concatenate, parts)
+    # every id is UTF-8 by now, so each table has its byte order
+    return ts, [(rank[out], names)
+                for out, (rank, names) in zip(codes, map(_sorted_names, map(list, tables)))]
 
 
 def _rows(reader):
@@ -451,24 +440,25 @@ def _rows(reader):
 
 
 def _batch_fields(rows: list, expected: int):
-    """The timestamps and id fields of the csv `rows`, none blank, when
-    every row passes the checks of :func:`_row_error`, else None."""
+    """The timestamps of the csv `rows`, none blank, and their id columns,
+    when every row passes the checks of :func:`_row_error`, else None."""
     try:
         fields = list(zip(*rows, strict=True)) or [()] * expected  # unequal rows raise
+        text = "".join(fields[0]).encode("ascii")  # int() also takes "1_0" and "\uff17"
         ts = np.fromiter(map(int, fields[0]), np.int64, len(rows))
     except (ValueError, OverflowError):
         return None
-    if len(fields) != expected or len(rows) and (ts.min() < 0 or not all(fields[1])):
+    if len(fields) != expected or b"_" in text or rows and (ts.min() < 0 or not all(fields[1])):
         return None
-    return ts, *fields[1:]
+    return ts, fields[1:]
 
 
 def _row_error(row, expected: int, line: int) -> Optional[TraceParseError]:
     """What is wrong with a csv `row` on `line`, or None."""
     if len(row) != expected:
         return TraceParseError(f"expected {expected} fields, got {len(row)}", line=line)
-    try:
-        ts = int(row[0])
+    try:  # int() also takes "1_0" and "\uff17" (a fullwidth 7)
+        ts = int(row[0].encode("ascii").replace(b"_", b"x"))
     except ValueError:
         return TraceParseError(f"non-integer timestamp {row[0]!r}", line=line)
     if ts < 0:
@@ -480,11 +470,11 @@ def _row_error(row, expected: int, line: int) -> Optional[TraceParseError]:
     return None
 
 
-def _scan(data: bytes):
+def _scan(data: bytes, window_length: Optional[int]):
     """The rows of `data` by whole-array passes over blocks of its bytes,
-    as :func:`_assemble` takes them, or None when the input is not plain
-    (see :func:`parse_trace`) or holds a field beyond the csv module's
-    size limit or an id that is not UTF-8."""
+    as :func:`_tokenize` gives them, or None when the input is not plain
+    (see :func:`parse_trace`), holds a field beyond the csv module's size
+    limit or an id that is not UTF-8; its one fault is the window's."""
     crlf = b"\r" in data
     if b'"' in data or crlf and data.count(b"\r") != data.count(b"\r\n"):
         return None
@@ -532,9 +522,11 @@ def _scan(data: bytes):
         row, pos = row + n, stop
     block = starts = ends = kinds = widths = block_ts = None  # not alive while names decode
     try:
-        return ts, [(column.codes, column.names()) for column in columns], None, None
+        columns = [(column.codes, column.names()) for column in columns]
     except UnicodeDecodeError:  # an id that is not UTF-8, which the csv reader names
         return None
+    _raise_first_fault(ts, (), window_length, range(2, len(ts) + 2))
+    return ts, columns
 
 
 def _digits(words: np.ndarray, ends: np.ndarray, widths: np.ndarray) -> Optional[np.ndarray]:

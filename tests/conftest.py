@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from cachechurn.boxmodel import SERIES_THRESHOLD, _gap_weight
-from cachechurn.trace import build_trace
+from cachechurn.trace import _make_trace, build_trace
 
 
 def random_trace(rng, n_requests, n_docs, window=None, with_users=False):
@@ -18,6 +20,15 @@ def random_trace(rng, n_requests, n_docs, window=None, with_users=False):
             [f"u{int(i):03d}" for i in rng.integers(0, 20, n_requests)], dtype=object
         )
     return build_trace(ts, docs, users, window)
+
+
+def read_with(reader, data, window=None):
+    """The Trace that one trace reader, ``trace._scan`` or
+    ``trace._tokenize``, gives of the CSV bytes `data`, as ``parse_trace``
+    builds it; None when the reader declines the input."""
+    rows = reader(data, window)
+    return None if rows is None else _make_trace(rows[0], *itertools.chain(*rows[1]),
+                                                 window_length=window)
 
 
 def paper_branch_forms(lam, tau, t):

@@ -51,7 +51,7 @@ from cachechurn.trace import (
     trace_stats,
 )
 
-from conftest import random_trace
+from conftest import random_trace, read_with
 
 # floating-point slack of the bounds below; solve_n_prime stops at a
 # residual of 1e-10, so n' - 1 + exp(-n') may exceed n - 1 by that much
@@ -302,12 +302,8 @@ def test_byte_scan_matches_csv_reader(with_users, rows, odd, ends_with_newline, 
     lines += [b",".join((ts, doc, user)[: 2 + with_users]) + end for ts, doc, user, end in rows]
     data = b"".join(lines).removesuffix(b"\n" * (not ends_with_newline))
 
-    def assembled(tokenize):
-        rows = tokenize(data)
-        return None if rows is None else trace_module._assemble(*rows, window)
-
-    scanned = outcome(lambda: assembled(trace_module._scan))
-    read = outcome(lambda: assembled(trace_module._tokenize))
+    scanned = outcome(lambda: read_with(trace_module._scan, data, window))
+    read = outcome(lambda: read_with(trace_module._tokenize, data, window))
     assert scanned is None or scanned == read
     source = io.BytesIO(b"\xef\xbb\xbf" * bom + data)
     assert outcome(lambda: parse_trace(source, window)) == read
@@ -437,8 +433,8 @@ def test_byte_order_matches_str_order(names, ends_with_newline):
     assert trace.doc_names[trace.docs].tolist() == order
     data = "timestamp_ms,doc_id\n" + "".join(f"{t},{name}\n" for t, name in enumerate(order))
     data = data.encode().removesuffix(b"\n" * (not ends_with_newline))
-    for tokenize in trace_module._scan, trace_module._tokenize:
-        parsed = trace_module._assemble(*tokenize(data), None)
+    for reader in trace_module._scan, trace_module._tokenize:
+        parsed = read_with(reader, data)
         assert parsed.doc_names.tolist() == sorted(names)
         assert parsed.doc_names[parsed.docs].tolist() == order
 

@@ -20,7 +20,7 @@ from cachechurn.trace import (
     trace_stats,
 )
 
-from conftest import random_trace
+from conftest import random_trace, read_with
 
 
 def trace_from(text, window=None):
@@ -66,7 +66,7 @@ def test_parse_error_names_line():
     with pytest.raises(TraceParseError, match="line 3: field larger than field limit"):
         parse_trace(io.BytesIO(b"timestamp_ms,doc_id\n1,a\n2," + b"x" * 200_000 + b"\n"))
     # the byte scan gives up on an id that is not UTF-8, as on a quote
-    assert trace_module._scan(b"timestamp_ms,doc_id\n1,a\n2,\xff\xfe\n") is None
+    assert trace_module._scan(b"timestamp_ms,doc_id\n1,a\n2,\xff\xfe\n", None) is None
     # a line number counts the lines of a quoted id before it that spans lines
     with pytest.raises(TraceParseError, match="line 4: non-integer timestamp 'xx'"):
         trace_from('timestamp_ms,doc_id\n1,"a\nb"\nxx,c\n')
@@ -74,6 +74,9 @@ def test_parse_error_names_line():
         parse_trace(io.BytesIO(b'timestamp_ms,doc_id\n1,"a\r\n\rb"\n2,\xff\n'))
     with pytest.raises(TraceParseError, match="line 4: field larger than field limit"):
         parse_trace(io.BytesIO(b'timestamp_ms,doc_id\n1,"a\nb"\n2,"' + b"x" * 200_000 + b'"\n'))
+    # and after a blank row in its batch
+    with pytest.raises(TraceParseError, match="line 4: field larger than field limit"):
+        parse_trace(io.BytesIO(b"timestamp_ms,doc_id\n1,a\n\n2," + b"x" * 200_000 + b"\n"))
     # a bad row after an id that is not UTF-8: the first fault by line is named
     with pytest.raises(TraceParseError, match="line 3: doc_id is not valid UTF-8"):
         parse_trace(io.BytesIO(b"timestamp_ms,doc_id\n1,a\n2,\xff\n3,b\n4\n"))
@@ -132,6 +135,22 @@ def test_parse_timestamp_beyond_window():
         parse_trace(io.BytesIO(b"timestamp_ms,doc_id\n1,\xff\n50,a\n"), 10)
     with pytest.raises(ValueError, match="line 2: timestamp 50 exceeds window 10"):
         parse_trace(io.BytesIO(b"timestamp_ms,doc_id\n50,\xff\n1,a\n"), 10)
+    # the same past the csv reader's first batch of rows
+    head = b'timestamp_ms,doc_id\n0,"a"\n' + b"1,b\n" * 2 * trace_module._BATCH_ROWS
+    line = 3 + 2 * trace_module._BATCH_ROWS
+    with pytest.raises(TraceParseError, match=f"line {line}: doc_id is not valid UTF-8"):
+        parse_trace(io.BytesIO(head + b"1,\xff\n50,a\n"), 10)
+    with pytest.raises(ValueError, match=f"line {line}: timestamp 50 exceeds window 10"):
+        parse_trace(io.BytesIO(head + b"50,\xff\n1,a\n"), 10)
+
+
+@pytest.mark.parametrize("stamp", ["1_0", "\u0667", "\uff17"])  # 10, Arabic-Indic and fullwidth 7
+def test_parse_error_timestamp_that_int_takes(stamp):
+    # int() takes these, but a timestamp is ASCII digits, signed or spaced
+    for rows in (f"{stamp},a\n", f"1,a\n{stamp},b\n2,c\n"):
+        with pytest.raises(TraceParseError, match=f"non-integer timestamp '{stamp}'"):
+            trace_from("timestamp_ms,doc_id\n" + rows)
+    assert trace_from("timestamp_ms,doc_id\n 7,a\n+7,b\n").timestamps.tolist() == [7, 7]
 
 
 def test_parse_user_column_and_crlf():
@@ -309,7 +328,7 @@ def test_small_blocks_change_nothing(monkeypatch, rng):
     monkeypatch.setattr(trace_module, "_BLOCK_BYTES", 16)
     monkeypatch.setattr(trace_module, "_MERGE_GROUPS", 1)
     got = parse_trace(io.BytesIO(data))
-    assert trace_module._scan(data) is not None
+    assert trace_module._scan(data, None) is not None
     for field in ("timestamps", "docs", "doc_names", "users", "user_names"):
         assert getattr(got, field).tolist() == getattr(expected, field).tolist()
     again = io.StringIO()
@@ -325,7 +344,7 @@ def test_hash_collision_splits_group(monkeypatch):
     expected = parse_trace(io.BytesIO(data))
     monkeypatch.setattr(trace_module, "_MIX", np.uint64(0))
     monkeypatch.setattr(trace_module, "_BLOCK_BYTES", 16)
-    assert trace_module._scan(data) is not None
+    assert trace_module._scan(data, None) is not None
     got = parse_trace(io.BytesIO(data))
     for field in ("timestamps", "docs", "doc_names", "users", "user_names"):
         assert getattr(got, field).tolist() == getattr(expected, field).tolist()
@@ -339,18 +358,17 @@ def test_hash_collision_splits_group(monkeypatch):
     rows = [(t, f"d{t % 3}", users[7 * t % len(users)]) for t in range(3 * len(users))]
     data = ("timestamp_ms,doc_id,user_id\n"
             + "".join(f"{t},{doc},{user}\n" for t, doc, user in rows)).encode()
-    expected = trace_module._assemble(*trace_module._tokenize(data), None)
+    expected = read_with(trace_module._tokenize, data)
     monkeypatch.setattr(trace_module, "_MERGE_GROUPS", 1)
-    scanned = trace_module._scan(data)
-    assert scanned is not None
-    got = trace_module._assemble(*scanned, None)
+    got = read_with(trace_module._scan, data)
+    assert got is not None
     for field in ("timestamps", "docs", "doc_names", "users", "user_names"):
         assert getattr(got, field).tolist() == getattr(expected, field).tolist()
     assert got.user_names.tolist() == sorted(users)
     assert got.user_names[got.users].tolist() == [user for _, _, user in rows]
     # two ids alike in their first word and length, alone in their group
     # when their blocks merge, differ only in the data
-    _, columns, _, _ = trace_module._scan(b"timestamp_ms,doc_id\n0,xxxxxxxxxa\n1,xxxxxxxxxb\n")
+    _, columns = trace_module._scan(b"timestamp_ms,doc_id\n0,xxxxxxxxxa\n1,xxxxxxxxxb\n", None)
     assert columns[0][1].tolist() == ["xxxxxxxxxa", "xxxxxxxxxb"]
 
 
@@ -487,6 +505,22 @@ def test_parse_memory_follows_the_ids():
     assert doc_ids(tr).tolist() == docs
 
 
+def test_csv_reader_memory_follows_the_ids():
+    # one quoted id sends the file through the csv reader, which holds no
+    # line number for the rows it has read
+    rows = 50_000
+    data = 'timestamp_ms,doc_id\n0,"d0"\n' + "".join(f"{t},d{t % 100}\n" for t in range(1, rows))
+    source = io.StringIO(data)  # made untraced: it holds 4 bytes a character
+    tracemalloc.start()
+    try:
+        tr = parse_trace(source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * rows
+    assert doc_ids(tr).tolist() == [f"d{t % 100}" for t in range(rows)]
+
+
 #: 50,000 distinct 6-byte user ids, in a shuffled order
 MANY_USERS = [f"u{u:05d}" for u in np.random.default_rng(1).permutation(50_000).tolist()]
 
@@ -559,7 +593,7 @@ def test_byte_scan_tables_hold_each_used_id_once(monkeypatch, collide):
         data = b"timestamp_ms,doc_id,user_id\n3,bb,u\n1,a,u\n2,a\x00,v\n4,a,w\n5,bb,v\n"
         monkeypatch.setattr(trace_module, "_MIX", np.uint64(0))
         monkeypatch.setattr(trace_module, "_BLOCK_BYTES", 16)
-    _, columns, _, _ = trace_module._scan(data)
+    _, columns = trace_module._scan(data, None)
     for codes, table in columns:
         assert len(set(table)) == len(table)
         assert sorted(set(codes.tolist())) == list(range(len(table)))
