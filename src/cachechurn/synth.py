@@ -109,14 +109,23 @@ class GeneratorConfig:
         missing = [key for key in ("gamma", "window_ms", "pairs") if key not in data]
         if missing:
             raise ValueError(f"generator config lacks {', '.join(missing)}")
+        pairs = data["pairs"]
+        if not (isinstance(pairs, list) and pairs
+                and all(isinstance(pair, list) and len(pair) == 2 for pair in pairs)):
+            raise ValueError("pairs must be a list of [lambda, tau] pairs")
+        values = [data[key] for key in ("gamma", "window_ms", "warmup_ms") if key in data]
+        for value in values + [value for pair in pairs for value in pair]:
+            if type(value) not in (int, float):  # not a bool, a str or null
+                raise ValueError(f"generator config has a malformed value: {value!r}")
+        if data["window_ms"] % 1:  # not integral, or not finite
+            raise ValueError("generator config has a malformed value: window_ms "
+                             f"{data['window_ms']!r} is not an integer")
         try:
-            pairs = np.asarray(data["pairs"], dtype=float)
+            pairs = np.asarray(pairs, dtype=float)
             gamma, window = float(data["gamma"]), int(data["window_ms"])
             warmup = float(data["warmup_ms"]) if "warmup_ms" in data else None
-        except (TypeError, ValueError, OverflowError) as exc:
+        except OverflowError as exc:  # an integer beyond float
             raise ValueError(f"generator config has a malformed value: {exc}") from None
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ValueError("pairs must be a list of [lambda, tau] pairs")
         try:
             return cls(gamma=gamma, window=window, lambdas=pairs[:, 0], taus=pairs[:, 1],
                        warmup=warmup)

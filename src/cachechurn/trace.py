@@ -13,6 +13,7 @@ import codecs
 import csv
 import io
 import itertools
+import reprlib
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Optional, Sequence
@@ -357,104 +358,84 @@ def parse_trace(reader, window_length: Optional[int] = None) -> Trace:
     return _make_trace(ts, *itertools.chain(*columns), window_length=window_length)
 
 
-def _check_header(fields) -> int:
-    """The field count of a row under the header `fields`: a row, or the error reading it."""
-    if isinstance(fields, csv.Error):  # a field beyond the csv module's size limit
-        raise TraceParseError(str(fields), line=1)
+def _check_header(fields: list) -> int:
+    """The field count of a row under the header `fields`."""
     header = [h.strip() for h in fields]
     if header not in (["timestamp_ms", "doc_id"], ["timestamp_ms", "doc_id", "user_id"]):
-        raise TraceParseError(f"unexpected header {header!r}", line=1)
+        raise TraceParseError(f"unexpected header {reprlib.repr(header)}", line=1)
     return len(header)
-
-
-def _raise_first_fault(ts, columns, window_length, lines):
-    """Raise the first fault by line of the rows with timestamps `ts` and id
-    `columns` on `lines`, if any: an id that is not UTF-8, or a timestamp
-    beyond the window, which wins over an id on its own row."""
-    faults = []  # (row, whether an id's, message): on one row, the window's sorts first
-    if window_length is not None and len(ts) and ts.max() > window_length:
-        row = np.argmax(ts > window_length)
-        faults.append((row, False, f"timestamp {ts[row]} exceeds window {window_length}"))
-    for column, ids in zip(("doc_id", "user_id"), columns):
-        try:
-            "".join(ids).encode()
-        except UnicodeEncodeError as exc:  # bytes that are not UTF-8, read as lone surrogates
-            row = np.cumsum(list(map(len, ids))).searchsorted(exc.start, "right")
-            faults.append((row, True, f"{column} is not valid UTF-8"))
-    if faults:
-        row, bad_id, message = min(faults)
-        line = int(lines[row])
-        raise TraceParseError(message, line) if bad_id else ValueError(f"line {line}: {message}")
 
 
 def _tokenize(data: bytes, window_length: Optional[int]):
     """The rows of `data` by the stdlib csv reader: their timestamps, and
     per id column their codes and the sorted names these index. Rows are
-    checked and interned a batch at a time, and the first fault by line is
-    raised with the batch that holds it; each table is sorted once at the end."""
+    checked and interned a batch at a time, and the first batch with a
+    fault is read again to name it; each table is sorted once at the end."""
     # decoded as it is read, bytes that are not UTF-8 as lone surrogates
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogateescape",
-                                         newline=""))
-    rows = _rows(reader)
-    expected = _check_header(next(rows))
-    tables = [{} for _ in range(expected - 1)]
-    parts = [[np.zeros(0, np.int64)]] + [[np.zeros(0, np.int32)] for _ in tables]
-    line = reader.line_num + 1
-    while batch := list(itertools.islice(rows, _BATCH_ROWS)):
-        lines = np.arange(line, line + len(batch))
-        if reader.line_num != lines[-1]:  # a field spans lines: count the line ends in each
-            text = map(",".join, batch[:-1])  # not the last row, which may be an error
-            lines[1:] += np.cumsum([t.count("\n") + t.count("\r") - t.count("\r\n") for t in text],
-                                   dtype=np.int64)
-        line, error = reader.line_num + 1, None
-        if isinstance(batch[-1], csv.Error):  # a field beyond the csv module's size limit
-            error = TraceParseError(str(batch.pop()), int(lines[-1]))
-            lines = lines[:-1]
-        if not all(batch):  # blank rows are skipped
-            lines = lines[list(map(bool, batch))]
-            batch = list(filter(None, batch))
-        fields = _batch_fields(batch, expected)
-        if fields is None:  # name the first bad row, and keep the rows before it
-            errors = map(_row_error, batch, itertools.repeat(expected), lines.tolist())
-            good, error = next((n, e) for n, e in enumerate(errors) if e)
-            batch, lines = batch[:good], lines[:good]
-            fields = _batch_fields(batch, expected)
-        _raise_first_fault(*fields, window_length, lines)
-        if error:  # which lies after the rows kept
-            raise error
-        parts[0].append(fields[0])
-        for table, ids, part in zip(tables, fields[1], parts[1:]):
-            part.append(_intern(ids, table))
+    text = io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogateescape", newline="")
+    reader = csv.reader(text)
+    read = expected = 0  # the lines read and checked, and the fields a row has
+    try:
+        expected = _check_header(next(reader))
+        tables = [{} for _ in range(expected - 1)]
+        parts = [[np.zeros(0, np.int64)]] + [[np.zeros(0, np.int32)] for _ in tables]
+        read = reader.line_num
+        # `batch` keeps its rows until the next is built; freeing them first costs a gc per batch
+        while batch := list(itertools.islice(reader, _BATCH_ROWS)):
+            if (fields := _batch_fields(batch, expected, window_length)) is None:
+                raise _first_fault(text, read, expected, window_length)
+            read = reader.line_num
+            parts[0].append(fields[0])
+            for table, ids, part in zip(tables, fields[1], parts[1:]):
+                part.append(_intern(ids, table))
+    except csv.Error:  # a field beyond the csv module's size limit
+        raise _first_fault(text, read, expected, window_length) from None
     ts, *codes = map(np.concatenate, parts)
     # every id is UTF-8 by now, so each table has its byte order
     return ts, [(rank[out], names)
                 for out, (rank, names) in zip(codes, map(_sorted_names, map(list, tables)))]
 
 
-def _rows(reader):
-    """The rows of a csv `reader`, then the error that stopped it, if any."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        yield exc
-
-
-def _batch_fields(rows: list, expected: int):
-    """The timestamps of the csv `rows`, none blank, and their id columns,
-    when every row passes the checks of :func:`_row_error`, else None."""
+def _batch_fields(rows: list, expected: int, window_length: Optional[int]):
+    """The timestamps of the csv `rows`, blank ones skipped, and their id
+    columns, when every row passes the checks of :func:`_row_error`, else None."""
+    if not all(rows):
+        rows = list(filter(None, rows))
     try:
         fields = list(zip(*rows, strict=True)) or [()] * expected  # unequal rows raise
         text = "".join(fields[0]).encode("ascii")  # int() also takes "1_0" and "\uff17"
         ts = np.fromiter(map(int, fields[0]), np.int64, len(rows))
+        for ids in fields[1:]:  # an id that is not UTF-8 holds lone surrogates, which raise
+            "".join(ids).encode()
     except (ValueError, OverflowError):
         return None
-    if len(fields) != expected or b"_" in text or rows and (ts.min() < 0 or not all(fields[1])):
+    if (len(fields) != expected or b"_" in text or ts.min(initial=0) < 0 or not all(fields[1])
+            or window_length is not None and (ts > window_length).any()):
         return None
     return ts, fields[1:]
 
 
-def _row_error(row, expected: int, line: int) -> Optional[TraceParseError]:
-    """What is wrong with a csv `row` on `line`, or None."""
+def _first_fault(text, read: int, expected: int, window_length: Optional[int]):
+    """The first fault of the csv rows of `text` after its first `read`
+    lines, read from the start again one row at a time."""
+    text.seek(0)
+    next(itertools.islice(text, read, read), None)  # lines, far faster than csv rows
+    reader = csv.reader(text)
+    return next(filter(None, (_row_error(reader, expected, window_length, read)
+                              for _ in itertools.count())))
+
+
+def _row_error(reader, expected: int, window_length: Optional[int], skipped: int):
+    """The fault of the next row of the csv `reader`, started after the
+    first `skipped` lines of the file, or None: a bad field, a timestamp
+    beyond the window, or an id that is not UTF-8, in that order."""
+    line = skipped + reader.line_num + 1
+    try:
+        row = next(reader)
+    except csv.Error as exc:  # a field beyond the csv module's size limit
+        return TraceParseError(str(exc), line=line)
+    if not row:  # blank rows are skipped
+        return None
     if len(row) != expected:
         return TraceParseError(f"expected {expected} fields, got {len(row)}", line=line)
     try:  # int() also takes "1_0" and "\uff17" (a fullwidth 7)
@@ -467,6 +448,13 @@ def _row_error(row, expected: int, line: int) -> Optional[TraceParseError]:
         return TraceParseError(f"timestamp {ts} beyond int64", line=line)
     if not row[1]:
         return TraceParseError("empty doc_id", line=line)
+    if window_length is not None and ts > window_length:
+        return ValueError(f"line {line}: timestamp {ts} exceeds window {window_length}")
+    for column, name in zip(("doc_id", "user_id"), row[1:]):
+        try:
+            name.encode()
+        except UnicodeEncodeError:
+            return TraceParseError(f"{column} is not valid UTF-8", line=line)
     return None
 
 
@@ -525,7 +513,9 @@ def _scan(data: bytes, window_length: Optional[int]):
         columns = [(column.codes, column.names()) for column in columns]
     except UnicodeDecodeError:  # an id that is not UTF-8, which the csv reader names
         return None
-    _raise_first_fault(ts, (), window_length, range(2, len(ts) + 2))
+    if window_length is not None and len(ts) and ts.max() > window_length:
+        row = int(np.argmax(ts > window_length))  # on line row + 2: a plain row is a line
+        raise ValueError(f"line {row + 2}: timestamp {ts[row]} exceeds window {window_length}")
     return ts, columns
 
 

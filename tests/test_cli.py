@@ -90,6 +90,15 @@ def test_simulate_empty_trace_is_validation_error(tmp_path, capsys):
         assert list(tmp_path.iterdir()) == [path]
 
 
+def test_bad_header_error_is_short(tmp_path, capsys):
+    # a 1 MB file with no newline is one header row of 750,000 fields
+    path = tmp_path / "flat.csv"
+    path.write_bytes(b"0,d," * 250_000)
+    assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "line 1: unexpected header" in err and len(err) < 300
+
+
 @pytest.mark.parametrize("argv, message", [
     (["shuffle", "--kind", "all"], "semi-experiments require a non-empty trace"),
     (["predict", "--method", "box"], "the trace has no requests"),
@@ -327,7 +336,15 @@ def test_generate_from_json_config_echoed_in_manifest(tmp_path):
      ('{"gamma": 0.01, "window_ms": 5, "warmup_ms": -Infinity, "pairs": [[1, 2]]}',
       "warmup must be finite"),
      ('{"gamma": 1e-18, "window_ms": 1e19, "pairs": [[1e-17, 1e18]]}',
-      "window must be at most 2**52 ms")],
+      "window must be at most 2**52 ms"),
+     # values of the wrong kind, which float() and int() would take
+     ('{"gamma": 0.01, "window_ms": 2.7, "pairs": [[1, 2]]}', "malformed value"),
+     ('{"gamma": "0.001", "window_ms": 5, "pairs": [[1, 2]]}', "malformed value"),
+     ('{"gamma": 0.01, "window_ms": "1000", "pairs": [[1, 2]]}', "malformed value"),
+     ('{"gamma": 0.01, "window_ms": 5, "warmup_ms": true, "pairs": [[1, 2]]}',
+      "malformed value"),
+     ('{"gamma": 0.01, "window_ms": 5, "pairs": [["0.01", "100"]]}', "malformed value"),
+     ('{"gamma": 0.01, "window_ms": 5, "pairs": "x"}', "pairs must be a list of")],
 )
 def test_malformed_config_is_parse_error(tmp_path, capsys, command, document, message):
     cfg_path = tmp_path / "gen.json"

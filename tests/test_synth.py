@@ -125,6 +125,9 @@ def test_config_json_roundtrip():
     assert np.array_equal(back.lambdas, config.lambdas)
     assert np.array_equal(back.taus, config.taus)
     assert back.warmup_ms == 15.0
+    # a JSON number with an exponent is read as the integer it stands for
+    assert GeneratorConfig.from_json('{"gamma": 0, "window_ms": 1e6, "pairs": [[1, 2]]}'
+                                     ).window == 1_000_000
 
 
 @pytest.mark.parametrize("lambdas, taus, warmup, message", [

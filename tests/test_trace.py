@@ -144,6 +144,21 @@ def test_parse_timestamp_beyond_window():
         parse_trace(io.BytesIO(head + b"50,\xff\n1,a\n"), 10)
 
 
+@pytest.mark.parametrize("row, error, message", [
+    (b"7", TraceParseError, "expected 2 fields, got 1"),
+    (b"7," + b"x" * 200_000, TraceParseError, "field larger than field limit"),
+    (b"7,\xff", TraceParseError, "doc_id is not valid UTF-8"),
+    (b"50,a", ValueError, "timestamp 50 exceeds window 10"),
+])
+def test_parse_error_line_past_first_batch(row, error, message):
+    # a quoted id spanning two lines in the first batch, and the fault in a
+    # later one: the batch that holds it is read again from its first line
+    rows = b'0,"a\nb"\n' + b"1,c\n" * (trace_module._BATCH_ROWS + 100)
+    line = 4 + trace_module._BATCH_ROWS + 100
+    with pytest.raises(error, match=f"^line {line}: {message}"):
+        parse_trace(io.BytesIO(b"timestamp_ms,doc_id\n" + rows + row + b"\n2,d\n"), 10)
+
+
 @pytest.mark.parametrize("stamp", ["1_0", "\u0667", "\uff17"])  # 10, Arabic-Indic and fullwidth 7
 def test_parse_error_timestamp_that_int_takes(stamp):
     # int() takes these, but a timestamp is ASCII digits, signed or spaced
