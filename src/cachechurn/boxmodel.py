@@ -56,15 +56,17 @@ def _one_minus_exp(x):
     return -np.expm1(-x)
 
 
-def _gap_weight(x):
+def _gap_weight(x, one_minus_exp=None):
     """1 - exp(-x) - x*exp(-x), accurate for small x.
 
     Equals the probability that a Poisson(x) count is at least 2. The two
     leading terms cancel to O(x^2), so small arguments use the series
-    x^2/2 - x^3/3 + x^4/8 - x^5/30 + x^6/144.
+    x^2/2 - x^3/3 + x^4/8 - x^5/30 + x^6/144. A caller that holds
+    ``_one_minus_exp(x)`` passes it as `one_minus_exp`.
     """
     x = np.asarray(x, dtype=float)
-    out = np.asarray(-np.expm1(-x) - x * np.exp(-x))
+    out = np.asarray((_one_minus_exp(x) if one_minus_exp is None else one_minus_exp)
+                     - x * np.exp(-x))
     small = x < SERIES_THRESHOLD
     if small.any():  # the series only on the cells that use it
         x = x[small]
@@ -170,9 +172,8 @@ def repeat_doc_window_mean(lam, tau, t):
     lam = np.asarray(lam, dtype=float)
     tau = np.asarray(tau, dtype=float)
     s = np.minimum(tau, t_arr)
-    out = 2.0 * s * _one_minus_exp(lam * s) + _gap_weight(lam * s) * (
-        np.maximum(tau, t_arr) - s - 4.0 / lam
-    )
+    first = _one_minus_exp(lam * s)
+    out = 2.0 * s * first + _gap_weight(lam * s, first) * (np.maximum(tau, t_arr) - s - 4.0 / lam)
     return out if out.ndim else float(out)
 
 
@@ -306,7 +307,8 @@ def expected_hits_per_doc(lam, tau, t_c):
     tau = np.asarray(tau, dtype=float)
     x = lam * tau
     y = lam * np.minimum(tau, t_c)
-    out = x * _one_minus_exp(y) - _gap_weight(y)
+    first = _one_minus_exp(y)
+    out = x * first - _gap_weight(y, first)
     return out if out.ndim else float(out)
 
 

@@ -13,6 +13,7 @@ import codecs
 import csv
 import io
 import itertools
+import re
 import reprlib
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -157,9 +158,8 @@ _BLOCK_BYTES = 1 << 18
 #: The fewest groups of a column's ids that are merged into its table: a
 #: merge costs more per group than a block, so a small column is merged once.
 _MERGE_GROUPS = 1 << 17
-#: Rows the csv reader checks together: one bad row sends a batch through
-#: the row-by-row checks that name it.
-_BATCH_ROWS = 512
+#: A line end, as the csv reader's text stream splits lines.
+_LINE_END = re.compile(rb"\r\n?|\n")
 #: Odd multiplier of the id hash (Fibonacci hashing): any value gives the
 #: same result, since every id is checked against its group and a group of
 #: distinct ids is split.
@@ -312,19 +312,20 @@ def parse_trace(reader, window_length: Optional[int] = None) -> Trace:
     ``timestamp_ms,doc_id,user_id`` followed by one row per request.
     Rows may be in any time order; the result is sorted stably.
 
-    A plain file is read by whole-array passes over blocks of its bytes.
-    A file holding a quote, a lone CR or an id that is not UTF-8, or a row
-    that is blank, has the wrong field count, an empty field or a
-    timestamp other than 1 to 18 ASCII digits, is streamed through the
-    stdlib ``csv`` module instead. Both give the same trace, or the same
-    error, which names the first fault by its line in the file.
+    The rows are read as the stdlib ``csv`` reader reads them in its
+    default dialect: a field may be quoted, ``""`` inside quotes is one
+    quote, lines end in LF, CRLF or a lone CR, and blank lines are skipped.
+    They are read by whole-array passes over blocks of the file's bytes,
+    each ending at a line end outside quotes. The first block with a fault
+    is read again by the ``csv`` reader, one row at a time, and the error
+    names the first fault by its line in the file.
 
     Parameters
     ----------
     reader : text or binary file-like, or str path
         Source of the CSV data, read whole. Paths and bytes are UTF-8, a
         leading byte-order mark skipped; text is encoded as UTF-8 as it
-        is. Both LF and CRLF line endings are accepted.
+        is.
     window_length : int, optional
         Observation window in milliseconds. Defaults to the maximum
         timestamp in the data.
@@ -353,7 +354,7 @@ def parse_trace(reader, window_length: Optional[int] = None) -> Trace:
         data = data.removeprefix(codecs.BOM_UTF8)
     if not data:
         raise TraceParseError("empty input, expected a header line", line=1)
-    ts, columns = _scan(data, window_length) or _tokenize(data, window_length)
+    ts, columns = _scan(data, window_length)
     del data  # the columns hold no reference to it
     return _make_trace(ts, *itertools.chain(*columns), window_length=window_length)
 
@@ -366,62 +367,15 @@ def _check_header(fields: list) -> int:
     return len(header)
 
 
-def _tokenize(data: bytes, window_length: Optional[int]):
-    """The rows of `data` by the stdlib csv reader: their timestamps, and
-    per id column their codes and the sorted names these index. Rows are
-    checked and interned a batch at a time, and the first batch with a
-    fault is read again to name it; each table is sorted once at the end."""
+def _first_fault(data: bytes, pos: int, expected: int, window_length: Optional[int]):
+    """The first fault of the csv rows of `data` from byte `pos`, the start
+    of a line, read one row at a time."""
+    skipped = data.count(b"\n", 0, pos) + data.count(b"\r", 0, pos) - data.count(b"\r\n", 0, pos)
+    raw = io.BytesIO(data)
+    raw.seek(pos)
     # decoded as it is read, bytes that are not UTF-8 as lone surrogates
-    text = io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogateescape", newline="")
-    reader = csv.reader(text)
-    read = expected = 0  # the lines read and checked, and the fields a row has
-    try:
-        expected = _check_header(next(reader))
-        tables = [{} for _ in range(expected - 1)]
-        parts = [[np.zeros(0, np.int64)]] + [[np.zeros(0, np.int32)] for _ in tables]
-        read = reader.line_num
-        # `batch` keeps its rows until the next is built; freeing them first costs a gc per batch
-        while batch := list(itertools.islice(reader, _BATCH_ROWS)):
-            if (fields := _batch_fields(batch, expected, window_length)) is None:
-                raise _first_fault(text, read, expected, window_length)
-            read = reader.line_num
-            parts[0].append(fields[0])
-            for table, ids, part in zip(tables, fields[1], parts[1:]):
-                part.append(_intern(ids, table))
-    except csv.Error:  # a field beyond the csv module's size limit
-        raise _first_fault(text, read, expected, window_length) from None
-    ts, *codes = map(np.concatenate, parts)
-    # every id is UTF-8 by now, so each table has its byte order
-    return ts, [(rank[out], names)
-                for out, (rank, names) in zip(codes, map(_sorted_names, map(list, tables)))]
-
-
-def _batch_fields(rows: list, expected: int, window_length: Optional[int]):
-    """The timestamps of the csv `rows`, blank ones skipped, and their id
-    columns, when every row passes the checks of :func:`_row_error`, else None."""
-    if not all(rows):
-        rows = list(filter(None, rows))
-    try:
-        fields = list(zip(*rows, strict=True)) or [()] * expected  # unequal rows raise
-        text = "".join(fields[0]).encode("ascii")  # int() also takes "1_0" and "\uff17"
-        ts = np.fromiter(map(int, fields[0]), np.int64, len(rows))
-        for ids in fields[1:]:  # an id that is not UTF-8 holds lone surrogates, which raise
-            "".join(ids).encode()
-    except (ValueError, OverflowError):
-        return None
-    if (len(fields) != expected or b"_" in text or ts.min(initial=0) < 0 or not all(fields[1])
-            or window_length is not None and (ts > window_length).any()):
-        return None
-    return ts, fields[1:]
-
-
-def _first_fault(text, read: int, expected: int, window_length: Optional[int]):
-    """The first fault of the csv rows of `text` after its first `read`
-    lines, read from the start again one row at a time."""
-    text.seek(0)
-    next(itertools.islice(text, read, read), None)  # lines, far faster than csv rows
-    reader = csv.reader(text)
-    return next(filter(None, (_row_error(reader, expected, window_length, read)
+    reader = csv.reader(io.TextIOWrapper(raw, "utf-8", "surrogateescape", newline=""))
+    return next(filter(None, (_row_error(reader, expected, window_length, skipped)
                               for _ in itertools.count())))
 
 
@@ -438,8 +392,8 @@ def _row_error(reader, expected: int, window_length: Optional[int], skipped: int
         return None
     if len(row) != expected:
         return TraceParseError(f"expected {expected} fields, got {len(row)}", line=line)
-    try:  # int() also takes "1_0" and "\uff17" (a fullwidth 7)
-        ts = int(row[0].encode("ascii").replace(b"_", b"x"))
+    try:
+        ts = _timestamp(row[0])
     except ValueError:
         return TraceParseError(f"non-integer timestamp {row[0]!r}", line=line)
     if ts < 0:
@@ -458,84 +412,191 @@ def _row_error(reader, expected: int, window_length: Optional[int], skipped: int
     return None
 
 
+def _timestamp(field: str) -> int:
+    """The integer of a timestamp field, ASCII digits that may be spaced or
+    signed; ValueError for other text, such as "1_0" and "\\uff17" (a
+    fullwidth 7), which int() also takes."""
+    return int(field.encode("ascii").replace(b"_", b"x"))
+
+
 def _scan(data: bytes, window_length: Optional[int]):
-    """The rows of `data` by whole-array passes over blocks of its bytes,
-    as :func:`_tokenize` gives them, or None when the input is not plain
-    (see :func:`parse_trace`), holds a field beyond the csv module's size
-    limit or an id that is not UTF-8; its one fault is the window's."""
-    crlf = b"\r" in data
-    if b'"' in data or crlf and data.count(b"\r") != data.count(b"\r\n"):
-        return None
-    pos = data.find(b"\n") + 1 or len(data)
-    head = data[:pos].rstrip(b"\r\n")
-    expected = _check_header(head.decode("utf-8", "surrogateescape").split(",") if head else [])
-    count = data.count(b"\n", pos) + (pos < len(data) and not data.endswith(b"\n"))
+    """The rows of `data` as the csv reader reads them, by whole-array
+    passes over blocks of its bytes: their timestamps, and per id column
+    their codes and the sorted names these index. Each block ends at a line
+    end outside quotes and is checked for every fault :func:`_row_error`
+    names; the first block with one is read again to raise it."""
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogateescape",
+                                         newline=""))
+    try:
+        expected = _check_header(next(reader))
+    except csv.Error:  # a header field beyond the csv module's size limit
+        raise _first_fault(data, 0, 0, window_length) from None
+    head = next(itertools.islice(_LINE_END.finditer(data), reader.line_num - 1, None), None)
+    pos = head.end() if head else len(data)
+    quoting, crlf, is_ascii = b'"' in data, b"\r" in data, data.isascii()
+    count = data.count(b"\n", pos) + 1  # rows at most
+    if crlf:
+        count += data.count(b"\r", pos) - data.count(b"\r\n", pos)
     ts = np.empty(count, np.int64)
     buf = np.frombuffer(data, np.uint8)
+    source, copy = data, None  # the bytes the ids are read from, and a copy that unquotes some
     words = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))  # a word at each byte
     columns = [_IdColumn(data, words, count) for _ in range(expected - 1)]
-    limit, row = csv.field_size_limit(), 0
+    row_kinds = np.array([44] * (expected - 1) + [10], np.uint8)
+
+    def whole(kinds):  # whether the separators make rows of the header's fields
+        return len(kinds) % expected == 0 and (kinds.reshape(-1, expected) == row_kinds).all()
+
+    limit, row, size = csv.field_size_limit(), 0, _BLOCK_BYTES
     while pos < len(data):
-        stop = len(data)
-        if stop - pos > _BLOCK_BYTES:  # end the block after a newline
-            stop = (data.rfind(b"\n", pos, pos + _BLOCK_BYTES) + 1
-                    or data.find(b"\n", pos + _BLOCK_BYTES) + 1 or stop)
+        stop = min(pos + size, len(data))
         block = buf[pos:stop]
-        ends = np.flatnonzero(block <= 44)  # commas and newlines, and rarer bytes
+        ends = np.flatnonzero(block <= 44)  # commas, quotes and line ends, and rarer bytes
         kinds = block[ends]
+        if crlf:  # a CR ends a line, unless a LF follows it and ends it
+            cr = np.flatnonzero(kinds == 13)
+            kinds[cr] = np.where(buf[np.minimum(pos + ends[cr] + 1, len(buf) - 1)] == 10, 0, 10)
+        dropped = None
+        if quoting and 34 in kinds:
+            inside, dropped = _quotes(block, ends, kinds)
+            kinds[inside] = 0
+        if stop < len(data):  # end the block at its last line end outside quotes
+            last = len(kinds) - int(np.argmax(kinds[::-1] == 10)) if len(kinds) else 0
+            if not last or kinds[last - 1] != 10:
+                size *= 2
+                continue
+            stop = pos + int(ends[last - 1]) + 1
+            block, ends, kinds = block[:stop - pos], ends[:last], kinds[:last]
+        size = _BLOCK_BYTES
         separator = (kinds == 44) | (kinds == 10)
         if not separator.all():
             ends, kinds = ends[separator], kinds[separator]
-        if block[-1] != 10:  # the last row has no newline
+        tail = stop == len(data) and not (len(ends) and ends[-1] == len(block) - 1
+                                         and kinds[-1] == 10)
+        if tail:  # the last row has no line end
             ends, kinds = np.append(ends, len(block)), np.append(kinds, 10)
-        if len(ends) % expected:
-            return None
-        ends, kinds = ends.reshape(-1, expected) + pos, kinds.reshape(-1, expected)
-        if (kinds[:, :-1] != 44).any() or (kinds[:, -1] != 10).any():
-            return None
+        ends += pos
         starts = np.empty_like(ends)
-        starts[0, 0], starts[1:, 0], starts[:, 1:] = pos, ends[:-1, -1] + 1, ends[:, :-1] + 1
-        if crlf:
-            ends[:, -1] -= buf[ends[:, -1] - 1] == 13
+        starts[:1], starts[1:] = pos, ends[:-1] + 1
+        if crlf:  # a row that ends in CRLF ends at the CR
+            end = ends[:len(ends) - tail]
+            end -= (buf[end] == 10) & (buf[end - 1] == 13)
+        if not whole(kinds):
+            blank = (kinds == 10) & (starts == ends)  # a line with no bytes is skipped
+            blank[1:] &= kinds[:-1] == 10
+            starts, ends, kinds = starts[~blank], ends[~blank], kinds[~blank]
+            if not whole(kinds):
+                raise _first_fault(data, pos, expected, window_length)
+        if dropped is not None:
+            unquoted = _unquote(buf, starts, ends, dropped + pos, copy)
+            if unquoted is not copy:  # the first field that drops a quote inside it
+                source = copy = unquoted
+                words = np.ndarray((len(copy) - 7,), "<u8", copy, strides=(1,))
+                for column in columns:
+                    column.data, column.words = copy, words
+        starts, ends = starts.reshape(-1, expected), ends.reshape(-1, expected)
         widths = ends - starts
-        if widths.min() < 1 or widths.max() > limit or widths[:, 0].max() > 18:
-            return None
-        block_ts = _digits(words, ends[:, 0], widths[:, 0])
-        if block_ts is None:
-            return None
+        stamp = widths[:, 0]
+        block_ts, slow = _digits(words, ends[:, 0], stamp)
+        slow |= (stamp < 1) | (stamp > 18)
+        fault = (widths[:, 1] < 1).any()  # an empty doc_id
+        for index in np.flatnonzero(slow).tolist():  # any other field int() may take
+            try:
+                block_ts[index] = _timestamp(str(source[starts[index, 0]:ends[index, 0]],
+                                                 "utf-8", "surrogateescape"))
+            except (ValueError, OverflowError):  # not an integer, or beyond int64
+                fault = True
+        for index in np.flatnonzero(widths > limit).tolist():  # the limit counts characters
+            lo, hi = starts.flat[index], ends.flat[index]
+            fault = fault or len(str(source[lo:hi], "utf-8", "surrogateescape")) > limit
+        if not is_ascii:
+            try:
+                data[pos:stop].decode()
+            except UnicodeDecodeError:
+                fault = True
+        if fault or block_ts.min(initial=0) < 0 or (
+                window_length is not None and block_ts.max(initial=0) > window_length):
+            raise _first_fault(data, pos, expected, window_length)
         n = len(block_ts)
         ts[row:row + n] = block_ts
-        for index, column in enumerate(columns, 1):
+        for index, column in enumerate(columns if n else (), 1):
             column.add(starts[:, index], ends[:, index], row)
         row, pos = row + n, stop
-    block = starts = ends = kinds = widths = block_ts = None  # not alive while names decode
-    try:
-        columns = [(column.codes, column.names()) for column in columns]
-    except UnicodeDecodeError:  # an id that is not UTF-8, which the csv reader names
-        return None
-    if window_length is not None and len(ts) and ts.max() > window_length:
-        row = int(np.argmax(ts > window_length))  # on line row + 2: a plain row is a line
-        raise ValueError(f"line {row + 2}: timestamp {ts[row]} exceeds window {window_length}")
-    return ts, columns
+    block = starts = ends = kinds = widths = block_ts = slow = None  # freed for the names
+    for column in columns:
+        column.codes = column.codes[:row]
+    return ts[:row], [(column.codes, column.names()) for column in columns]
 
 
-def _digits(words: np.ndarray, ends: np.ndarray, widths: np.ndarray) -> Optional[np.ndarray]:
-    """The integer each field of `widths` ASCII digits ending before
-    `ends` spells, or None when a byte is not a digit. Eight digits are
-    read at once, from a word with the bytes before the field set to "0"."""
-    value = np.zeros(len(ends), np.uint64)
+def _quotes(block: np.ndarray, ends: np.ndarray, kinds: np.ndarray):
+    """Which of the bytes at `ends` of a block that starts a row lie inside
+    quotes as the csv reader reads them, and where the quote bytes it drops
+    lie in the block. A run of k quote bytes at the start of a field (one
+    that opens the block or follows a comma or line end) flips the quoted
+    state when k is odd; an odd run later in a field ends quotes, and an
+    even run leaves the state as it is. So the state after a run is the
+    parity of the flips since the last run that ended quotes. A run keeps
+    k // 2 quotes when it starts inside quotes, (k - 1) // 2 at the start
+    of a field and all k elsewhere; it drops its first bytes."""
+    at = ends[kinds == 34]
+    new = np.ones(len(at), bool)
+    new[1:] = at[1:] != at[:-1] + 1
+    first = np.flatnonzero(new)
+    size = np.diff(first, append=len(at))
+    lead = at[first]
+    before = block[lead - 1]
+    start = (lead == 0) | (before == 44) | (before == 10) | (before == 13)
+    odd = size % 2 == 1
+    flips = np.cumsum(start & odd)
+    quoted = (flips - np.maximum.accumulate(np.where(odd & ~start, flips, 0))) % 2 == 1
+    keep = np.where(start, (size - 1) // 2, size)
+    keep[1:][quoted[:-1]] = size[1:][quoted[:-1]] // 2
+    state = np.searchsorted(lead, ends, side="right") - 1  # the last run before each byte
+    drop = np.arange(len(at)) - np.repeat(first, size) < np.repeat(size - keep, size)
+    return (state >= 0) & quoted[state], at[drop]
+
+
+def _unquote(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, dropped: np.ndarray,
+             copy: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """Narrow the fields from `starts` to `ends` of `buf` to their values,
+    without the quote bytes at `dropped`. A field whose only such bytes are
+    its first and last is read in place; any other that has some is written
+    without them, from its start, into `copy` of `buf`, made here if None.
+    Returns the copy."""
+    lo, hi = np.searchsorted(dropped, starts), np.searchsorted(dropped, ends)
+    pair = np.flatnonzero(hi - lo == 2)
+    pair = pair[(dropped[lo[pair]] == starts[pair]) & (dropped[hi[pair] - 1] == ends[pair] - 1)]
+    starts[pair] += 1
+    ends[pair] -= 1
+    lo[pair] = hi[pair]
+    rest = np.flatnonzero(hi > lo)
+    if len(rest):
+        if copy is None:
+            copy = np.array(buf)
+        taken = _ranges(starts[rest], ends[rest] - starts[rest])
+        ends[rest] -= hi[rest] - lo[rest]
+        copy[_ranges(starts[rest], ends[rest] - starts[rest])] = buf[
+            taken[~np.isin(taken, dropped, assume_unique=True)]]
+    return copy
+
+
+def _digits(words: np.ndarray, ends: np.ndarray, widths: np.ndarray):
+    """The integer each field of `widths` ASCII digits ending before `ends`
+    spells, and whether each holds a byte that is not a digit; a field of
+    more than 18 is read in part. Eight digits are read at once, from a
+    word with the bytes before the field set to "0"."""
+    value, bad = np.zeros(len(ends), np.uint64), np.zeros(len(ends), bool)
     sign, six = np.uint64(0x8080808080808080), np.uint64(0x4646464646464646)
-    for at in range(0, int(widths.max()), 8):
+    for at in range(0, min(int(widths.max(initial=0)), 18), 8):
         inside = np.clip(widths - at, 0, 8)
         word = words[np.maximum(ends - at - 8, 0)] & _LAST[inside] | _ZEROS[inside]
-        if ((word - _ZEROS[0] | word + six) & sign).any():  # a byte below "0" or above "9"
-            return None
+        bad |= (word - _ZEROS[0] | word + six) & sign != 0  # a byte below "0" or above "9"
         # pairs, then fours, then all eight digits combined in place
         word = (word & np.uint64(0x0F0F0F0F0F0F0F0F)) * np.uint64(10 << 8 | 1) >> np.uint64(8)
         word = (word & np.uint64(0x00FF00FF00FF00FF)) * np.uint64(100 << 16 | 1) >> np.uint64(16)
         word = (word & np.uint64(0x0000FFFF0000FFFF)) * np.uint64(10000 << 32 | 1) >> np.uint64(32)
         value += word * np.uint64(10**at)
-    return value.view(np.int64)
+    return value.view(np.int64), bad
 
 
 def _word(words: np.ndarray, at: np.ndarray, left: np.ndarray) -> np.ndarray:
@@ -589,7 +650,7 @@ def _group_ids(data: bytes, words: np.ndarray, starts: np.ndarray, lengths: np.n
     if split.any():
         rows = np.sort(order[split[run]])
         seen = {}
-        twin = np.array([seen.setdefault(data[lo:lo + size], row) for row, lo, size in zip(
+        twin = np.array([seen.setdefault(bytes(data[lo:lo + size]), row) for row, lo, size in zip(
             rows.tolist(), starts[rows].tolist(), lengths[rows].tolist())], np.int64)
         outside = twin >= known  # not in the table: numbered after the rest
         ids, twin[outside] = np.unique(twin[outside], return_inverse=True)
@@ -652,8 +713,9 @@ class _IdColumn:
         _MIX; the words every id has are kept to check the groups by, and
         the first of them waits with each group."""
         lengths = (ends - starts).astype(np.int32)
-        key, shortest, read = lengths.astype(np.uint64), int(lengths.min()), []
-        for at in range(0, int(lengths.max()), 8):
+        # the first word is read for every id, zero for an empty one
+        key, shortest, read = lengths.astype(np.uint64), max(int(lengths.min()), 1), []
+        for at in range(0, max(int(lengths.max()), 1), 8):
             rows = slice(None) if at < shortest else np.flatnonzero(lengths > at)
             word = _word(self.words, starts[rows] + at, lengths[rows] - at)
             key[rows] = (key[rows] ^ word) * _MIX
@@ -687,7 +749,7 @@ class _IdColumn:
 
     def names(self):
         """The distinct ids in ascending order, the codes recoded in place
-        to index them; UnicodeDecodeError when one is not UTF-8."""
+        to index them."""
         if self.pending:
             self._merge(len(self.codes))
         starts, lengths, lead = self.table[:3]  # the hashes are freed
@@ -722,7 +784,10 @@ class _IdColumn:
                 else:
                     text, end = np.full((stop - part, width + 1), 10, np.uint8), "\n"
                     text[:, :width] = records[starts[ids]].view(np.uint8).reshape(-1, width)
-                table[ids] = np.fromiter(str(text, "utf-8").split(end), object, stop - part)
+                names = str(text, "utf-8").split(end)
+                if len(names) > stop - part + 1:  # an id holds `end`: decoded one at a time
+                    names = [str(data[at:at + width], "utf-8") for at in starts[ids].tolist()]
+                table[ids] = np.fromiter(names, object, stop - part)
         return table
 
 

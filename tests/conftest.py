@@ -1,8 +1,11 @@
+import csv
+import io
 import itertools
 
 import numpy as np
 import pytest
 
+from cachechurn import trace as trace_module
 from cachechurn.boxmodel import SERIES_THRESHOLD, _gap_weight
 from cachechurn.trace import _make_trace, build_trace
 
@@ -23,12 +26,38 @@ def random_trace(rng, n_requests, n_docs, window=None, with_users=False):
 
 
 def read_with(reader, data, window=None):
-    """The Trace that one trace reader, ``trace._scan`` or
-    ``trace._tokenize``, gives of the CSV bytes `data`, as ``parse_trace``
-    builds it; None when the reader declines the input."""
+    """The Trace that the trace reader `reader`, such as ``trace._scan``,
+    gives of the CSV bytes `data`, built as ``parse_trace`` builds it."""
     rows = reader(data, window)
-    return None if rows is None else _make_trace(rows[0], *itertools.chain(*rows[1]),
-                                                 window_length=window)
+    return _make_trace(rows[0], *itertools.chain(*rows[1]), window_length=window)
+
+
+def read_csv(data, window=None):
+    """The Trace of the CSV bytes `data` as the stdlib csv reader reads
+    them, one row at a time: the reference for the byte scan. Each row is
+    checked by ``trace._row_error``, on a second reader kept in step, which
+    gives the first fault; ``build_trace`` orders the names."""
+    rows, checked = (csv.reader(io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogateescape",
+                                                 newline="")) for _ in range(2))
+    try:
+        expected = trace_module._check_header(next(rows))
+    except csv.Error:
+        raise trace_module._row_error(checked, 0, window, 0) from None
+    next(checked)
+    kept = []
+    while True:
+        try:
+            fault = trace_module._row_error(checked, expected, window, 0)
+        except StopIteration:
+            break
+        if fault is not None:
+            raise fault
+        row = next(rows)
+        if row:
+            kept.append(row)
+    columns = list(zip(*kept)) or [()] * expected
+    return build_trace([int(ts) for ts in columns[0]], columns[1],
+                       columns[2] if expected == 3 else None, window)
 
 
 def paper_branch_forms(lam, tau, t):

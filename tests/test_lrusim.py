@@ -49,6 +49,17 @@ def test_stack_distances_against_naive_scan(rng):
     prof = stack_distances(tr)
     assert list(prof.distances) == naive_stack_distances(tr.doc_names[tr.docs])
     assert sum(prof.histogram.values()) == prof.total_requests
+    # a cyclic scan, r passes over n documents: every repeat is at distance
+    # n, so a cache of fewer than n documents never hits and one of n always
+    n, r = 37, 5
+    docs = [f"d{i % n:02d}" for i in range(n * r)]
+    tr = build_trace(np.arange(n * r), docs)
+    prof = stack_distances(tr)
+    assert list(prof.distances) == naive_stack_distances(docs) == [-1] * n + [n] * (n * (r - 1))
+    sizes = [1, n - 1, n, n + 1, 10 * n]
+    hits = prof.hits_at(np.array(sizes))
+    assert hits.tolist() == [0, 0, (r - 1) * n, (r - 1) * n, (r - 1) * n]
+    assert hits.tolist() == [brute_force_lru(tr, c) for c in sizes]
 
 
 @pytest.mark.parametrize(

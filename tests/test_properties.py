@@ -51,7 +51,7 @@ from cachechurn.trace import (
     trace_stats,
 )
 
-from conftest import random_trace, read_with
+from conftest import random_trace, read_csv, read_with
 
 # floating-point slack of the bounds below; solve_n_prime stops at a
 # residual of 1e-10, so n' - 1 + exp(-n') may exceed n - 1 by that much
@@ -254,8 +254,7 @@ def test_serialize_parse_round_trip(rows, with_users):
         assert back.users is None
 
 
-#: rows the byte scan takes, and rows that each send a file to the csv
-#: reader or make it bad: a quote, a lone CR, a blank line, a field too
+#: plain rows, and odd rows: a quote, a lone CR, a blank line, a field too
 #: many or too few, an empty field, a timestamp that is signed, spaced or
 #: beyond 18 digits, an id that is not UTF-8
 plain_bytes = [b"a", b"b", b"7", b"\x00", b" ", b"+", b"\xc3\xa9", b"\xef\xbb\xbf"]
@@ -303,8 +302,8 @@ def test_byte_scan_matches_csv_reader(with_users, rows, odd, ends_with_newline, 
     data = b"".join(lines).removesuffix(b"\n" * (not ends_with_newline))
 
     scanned = outcome(lambda: read_with(trace_module._scan, data, window))
-    read = outcome(lambda: read_with(trace_module._tokenize, data, window))
-    assert scanned is None or scanned == read
+    read = outcome(lambda: read_csv(data, window))
+    assert scanned == read
     source = io.BytesIO(b"\xef\xbb\xbf" * bom + data)
     assert outcome(lambda: parse_trace(source, window)) == read
 
@@ -426,15 +425,14 @@ def id_list(chars):
          ends_with_newline=False)
 def test_byte_order_matches_str_order(names, ends_with_newline):
     # every table is sorted by its ids' bytes where it is made: by
-    # build_trace, by the byte scan and by the csv reader alike
+    # build_trace and by the byte scan, as by the csv reference reader
     order = names[1::2] + names[::2]
     trace = build_trace(range(len(order)), order)
     assert trace.doc_names.tolist() == sorted(names)
     assert trace.doc_names[trace.docs].tolist() == order
     data = "timestamp_ms,doc_id\n" + "".join(f"{t},{name}\n" for t, name in enumerate(order))
     data = data.encode().removesuffix(b"\n" * (not ends_with_newline))
-    for reader in trace_module._scan, trace_module._tokenize:
-        parsed = read_with(reader, data)
+    for parsed in read_with(trace_module._scan, data), read_csv(data):
         assert parsed.doc_names.tolist() == sorted(names)
         assert parsed.doc_names[parsed.docs].tolist() == order
 

@@ -31,8 +31,10 @@ ms, a 3e7 ms window) with generator seed 2024: 2.93 M requests over
   arrays hold, and the rest (``working``), the parse's working arrays
   alive at the peak. It imports only ``cachechurn.trace`` and numpy. The
   files are the acceptance trace that ``generate`` wrote
-  (``acceptance``); the same file with its first doc id quoted, which
-  sends all of it through the stdlib csv reader (``quoted``); a trace of
+  (``acceptance``); the same file with its first doc id quoted
+  (``quoted``), and with every doc id quoted and every 100th ending in a
+  doubled quote, so its quote state and its unquoted copy are read
+  (``all_quoted``); a trace of
   many distinct ids (``many_ids``), which another child writes: 3 M rows
   over 2 M ids of 30 bytes each, the numbers of a random permutation with
   their leading zeros (so the ids tie on their first 23 bytes), every id
@@ -178,6 +180,17 @@ with open(sys.argv[1], "rb") as source, open(sys.argv[2], "wb") as out:
     shutil.copyfileobj(source, out)
 """
 #: Copies the CSV file named by its first argument to the one named by its
+#: second, with every doc id quoted and every 100th ending in ``""``.
+ALL_QUOTED = """
+import sys
+
+with open(sys.argv[1], "rb") as source, open(sys.argv[2], "wb") as out:
+    out.write(source.readline())
+    for number, line in enumerate(source, 1):
+        stamp, doc = line.rstrip(b"\\n").split(b",")
+        out.write(stamp + b',"' + doc + b'""' * (number % 100 == 0) + b'"\\n')
+"""
+#: Copies the CSV file named by its first argument to the one named by its
 #: second, with a user column: each row's user uniform among 100,000.
 USERS = """
 import sys
@@ -290,6 +303,8 @@ def cli_children(work: Path) -> dict:
         parse_children = {"acceptance": parse("acceptance.csv")}
         launch(QUOTED, "acceptance.csv", "quoted.csv")
         parse_children["quoted"] = parse("quoted.csv")
+        launch(ALL_QUOTED, "acceptance.csv", "all_quoted.csv")
+        parse_children["all_quoted"] = parse("all_quoted.csv")
         launch(MANY_IDS, "many_ids.csv")
         parse_children["many_ids"] = parse("many_ids.csv")
         launch(USERS, "acceptance.csv", "users.csv", str(SEED))
