@@ -13,7 +13,6 @@ import codecs
 import csv
 import io
 import itertools
-import re
 import reprlib
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -158,8 +157,6 @@ _BLOCK_BYTES = 1 << 18
 #: The fewest groups of a column's ids that are merged into its table: a
 #: merge costs more per group than a block, so a small column is merged once.
 _MERGE_GROUPS = 1 << 17
-#: A line end, as the csv reader's text stream splits lines.
-_LINE_END = re.compile(rb"\r\n?|\n")
 #: Odd multiplier of the id hash (Fibonacci hashing): any value gives the
 #: same result, since every id is checked against its group and a group of
 #: distinct ids is split.
@@ -199,16 +196,15 @@ def _compact(codes: np.ndarray, names: np.ndarray):
     return recode[codes], names[used]
 
 
-def _byte_order(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+def _byte_order(source: _Source, starts: np.ndarray, lengths: np.ndarray,
                 lead: np.ndarray) -> np.ndarray:
     """The permutation that sorts the distinct ids of `lengths` bytes from
-    `starts` by their bytes, which for UTF-8 is ``str`` order; `words` holds
-    the data's little-endian word at each byte, and `lead` each id's first
-    one. A pass reads the next 8 bytes of the ids still tied (zero past an
-    id's end), skips those that every run of tied ids shares, and sorts once
-    by a uint64 key: the run, the bytes compared so far that the id has
-    (shorter first), and as many bytes read as fit beside those and the
-    index."""
+    `starts` of `source` by their bytes, which for UTF-8 is ``str`` order;
+    `lead` holds each id's first word. A pass reads the next 8 bytes of the
+    ids still tied (zero past an id's end), skips those that every run of
+    tied ids shares, and sorts once by a uint64 key: the run, the bytes
+    compared so far that the id has (shorter first), and as many bytes read
+    as fit beside those and the index."""
     order = np.arange(len(starts))
     new = np.zeros(len(order), bool)  # where a run of ids tied so far starts
     new[:1] = True
@@ -221,7 +217,7 @@ def _byte_order(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
             break
         ids = order[rows]
         word = (lead[ids] if at == 0 else  # the first pass reads no data
-                _word(words, starts[ids] + at, np.maximum(lengths[ids] - at, 0))).byteswap()
+                source.word(starts[ids] + at, np.maximum(lengths[ids] - at, 0))).byteswap()
         differ = word[1:] ^ word[:-1]
         differ[new[rows[1:]]] = 0
         skip = (64 - int(np.bitwise_or.reduce(differ)).bit_length()) // 8
@@ -250,10 +246,10 @@ def _sorted_names(names: list):
     one holds a lone surrogate, which has no UTF-8 form."""
     encoded = [name.encode("utf-8") for name in names]
     data = b"".join(encoded) + bytes(8)  # a word at each byte, and past the last
-    words = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))
+    source = _Source(data)
     lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
     starts = np.cumsum(lengths) - lengths
-    order = _byte_order(words, starts, lengths, _word(words, starts, lengths))
+    order = _byte_order(source, starts, lengths, source.word(starts, lengths))
     return _ranks(order), np.array(names, dtype=object)[order]
 
 
@@ -370,13 +366,22 @@ def _check_header(fields: list) -> int:
 def _first_fault(data: bytes, pos: int, expected: int, window_length: Optional[int]):
     """The first fault of the csv rows of `data` from byte `pos`, the start
     of a line, read one row at a time."""
-    skipped = data.count(b"\n", 0, pos) + data.count(b"\r", 0, pos) - data.count(b"\r\n", 0, pos)
     raw = io.BytesIO(data)
     raw.seek(pos)
     # decoded as it is read, bytes that are not UTF-8 as lone surrogates
     reader = csv.reader(io.TextIOWrapper(raw, "utf-8", "surrogateescape", newline=""))
+    skipped = _line_ends(data, 0, pos)
     return next(filter(None, (_row_error(reader, expected, window_length, skipped)
                               for _ in itertools.count())))
+
+
+def _line_ends(data: bytes, lo: int, hi: int) -> int:
+    """The lines that end in ``data[lo:hi]``, as the csv reader counts
+    them: LFs, and CRs that no LF follows."""
+    count = data.count(b"\n", lo, hi)
+    if data.find(b"\r", lo, hi) >= 0:
+        count += data.count(b"\r", lo, hi) - data.count(b"\r\n", lo, hi)
+    return count
 
 
 def _row_error(reader, expected: int, window_length: Optional[int], skipped: int):
@@ -424,30 +429,39 @@ def _scan(data: bytes, window_length: Optional[int]):
     passes over blocks of its bytes: their timestamps, and per id column
     their codes and the sorted names these index. Each block ends at a line
     end outside quotes and is checked for every fault :func:`_row_error`
-    names; the first block with one is read again to raise it."""
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogateescape",
-                                         newline=""))
+    names but an id that is not UTF-8, which the names show as they are
+    decoded; the first block with a fault is read again to raise it."""
+    head = []  # the header's lines, which give where the rows start
+    text = io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogateescape", newline="")
     try:
-        expected = _check_header(next(reader))
+        expected = _check_header(next(csv.reader(head.append(line) or line for line in text)))
     except csv.Error:  # a header field beyond the csv module's size limit
         raise _first_fault(data, 0, 0, window_length) from None
-    head = next(itertools.islice(_LINE_END.finditer(data), reader.line_num - 1, None), None)
-    pos = head.end() if head else len(data)
-    quoting, crlf, is_ascii = b'"' in data, b"\r" in data, data.isascii()
-    count = data.count(b"\n", pos) + 1  # rows at most
-    if crlf:
-        count += data.count(b"\r", pos) - data.count(b"\r\n", pos)
+    pos = len("".join(head).encode("utf-8", "surrogateescape"))
+    quoting, crlf = b'"' in data, b"\r" in data
+    count = _line_ends(data, pos, len(data)) + 1  # rows at most
     ts = np.empty(count, np.int64)
     buf = np.frombuffer(data, np.uint8)
-    source, copy = data, None  # the bytes the ids are read from, and a copy that unquotes some
-    words = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))  # a word at each byte
-    columns = [_IdColumn(data, words, count) for _ in range(expected - 1)]
+    source = _Source(data)
+    columns = [_IdColumn(source, count) for _ in range(expected - 1)]
     row_kinds = np.array([44] * (expected - 1) + [10], np.uint8)
+    blocks = []  # where each block read starts
 
     def whole(kinds):  # whether the separators make rows of the header's fields
         return len(kinds) % expected == 0 and (kinds.reshape(-1, expected) == row_kinds).all()
 
-    limit, row, size = csv.field_size_limit(), 0, _BLOCK_BYTES
+    def fault(at):  # the first fault, in the first block before `at` not UTF-8, else from `at`
+        for lo, hi in itertools.pairwise(blocks + [at]):
+            try:
+                data[lo:hi].decode()
+            except UnicodeDecodeError:
+                return _first_fault(data, lo, expected, window_length)
+        return _first_fault(data, at, expected, window_length)
+
+    # a small file is read in smaller blocks, so its working arrays stay a
+    # fraction of its size
+    step = min(_BLOCK_BYTES, max(len(data) // 16, 1 << 12))
+    limit, row, size = csv.field_size_limit(), 0, step
     while pos < len(data):
         stop = min(pos + size, len(data))
         block = buf[pos:stop]
@@ -456,7 +470,7 @@ def _scan(data: bytes, window_length: Optional[int]):
         if crlf:  # a CR ends a line, unless a LF follows it and ends it
             cr = np.flatnonzero(kinds == 13)
             kinds[cr] = np.where(buf[np.minimum(pos + ends[cr] + 1, len(buf) - 1)] == 10, 0, 10)
-        dropped = None
+        dropped, bad = None, False
         if quoting and 34 in kinds:
             inside, dropped = _quotes(block, ends, kinds)
             kinds[inside] = 0
@@ -467,7 +481,7 @@ def _scan(data: bytes, window_length: Optional[int]):
                 continue
             stop = pos + int(ends[last - 1]) + 1
             block, ends, kinds = block[:stop - pos], ends[:last], kinds[:last]
-        size = _BLOCK_BYTES
+        size = step
         separator = (kinds == 44) | (kinds == 10)
         if not separator.all():
             ends, kinds = ends[separator], kinds[separator]
@@ -486,46 +500,44 @@ def _scan(data: bytes, window_length: Optional[int]):
             blank[1:] &= kinds[:-1] == 10
             starts, ends, kinds = starts[~blank], ends[~blank], kinds[~blank]
             if not whole(kinds):
-                raise _first_fault(data, pos, expected, window_length)
+                raise fault(pos)
         if dropped is not None:
-            unquoted = _unquote(buf, starts, ends, dropped + pos, copy)
-            if unquoted is not copy:  # the first field that drops a quote inside it
-                source = copy = unquoted
-                words = np.ndarray((len(copy) - 7,), "<u8", copy, strides=(1,))
-                for column in columns:
-                    column.data, column.words = copy, words
+            dropped = dropped[dropped < len(block)] + pos
+            # to the csv reader a byte that continues a UTF-8 sequence after a
+            # quote is not UTF-8, though it may be once the quote is dropped
+            bad = (buf[np.minimum(dropped + 1, len(buf) - 1)] & 0xC0 == 0x80).any()
+            _unquote(buf, starts, ends, dropped, source)
         starts, ends = starts.reshape(-1, expected), ends.reshape(-1, expected)
         widths = ends - starts
         stamp = widths[:, 0]
-        block_ts, slow = _digits(words, ends[:, 0], stamp)
+        block_ts, slow = _digits(source.words, ends[:, 0], stamp)
         slow |= (stamp < 1) | (stamp > 18)
-        fault = (widths[:, 1] < 1).any()  # an empty doc_id
+        bad = bad or (widths[:, 1] < 1).any()  # an empty doc_id
         for index in np.flatnonzero(slow).tolist():  # any other field int() may take
             try:
                 block_ts[index] = _timestamp(str(source[starts[index, 0]:ends[index, 0]],
                                                  "utf-8", "surrogateescape"))
             except (ValueError, OverflowError):  # not an integer, or beyond int64
-                fault = True
+                bad = True
         for index in np.flatnonzero(widths > limit).tolist():  # the limit counts characters
             lo, hi = starts.flat[index], ends.flat[index]
-            fault = fault or len(str(source[lo:hi], "utf-8", "surrogateescape")) > limit
-        if not is_ascii:
-            try:
-                data[pos:stop].decode()
-            except UnicodeDecodeError:
-                fault = True
-        if fault or block_ts.min(initial=0) < 0 or (
+            bad = bad or len(str(source[lo:hi], "utf-8", "surrogateescape")) > limit
+        if bad or block_ts.min(initial=0) < 0 or (
                 window_length is not None and block_ts.max(initial=0) > window_length):
-            raise _first_fault(data, pos, expected, window_length)
+            raise fault(pos)
         n = len(block_ts)
         ts[row:row + n] = block_ts
         for index, column in enumerate(columns if n else (), 1):
             column.add(starts[:, index], ends[:, index], row)
+        blocks.append(pos)
         row, pos = row + n, stop
     block = starts = ends = kinds = widths = block_ts = slow = None  # freed for the names
     for column in columns:
         column.codes = column.codes[:row]
-    return ts[:row], [(column.codes, column.names()) for column in columns]
+    try:
+        return ts[:row], [(column.codes, column.names()) for column in columns]
+    except UnicodeDecodeError:  # an id that is not UTF-8
+        raise fault(len(data)) from None
 
 
 def _quotes(block: np.ndarray, ends: np.ndarray, kinds: np.ndarray):
@@ -557,12 +569,11 @@ def _quotes(block: np.ndarray, ends: np.ndarray, kinds: np.ndarray):
 
 
 def _unquote(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, dropped: np.ndarray,
-             copy: Optional[np.ndarray]) -> Optional[np.ndarray]:
+             source: _Source) -> None:
     """Narrow the fields from `starts` to `ends` of `buf` to their values,
     without the quote bytes at `dropped`. A field whose only such bytes are
     its first and last is read in place; any other that has some is written
-    without them, from its start, into `copy` of `buf`, made here if None.
-    Returns the copy."""
+    without them to `source`, past the data, and read there."""
     lo, hi = np.searchsorted(dropped, starts), np.searchsorted(dropped, ends)
     pair = np.flatnonzero(hi - lo == 2)
     pair = pair[(dropped[lo[pair]] == starts[pair]) & (dropped[hi[pair] - 1] == ends[pair] - 1)]
@@ -571,13 +582,11 @@ def _unquote(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, dropped: np.
     lo[pair] = hi[pair]
     rest = np.flatnonzero(hi > lo)
     if len(rest):
-        if copy is None:
-            copy = np.array(buf)
         taken = _ranges(starts[rest], ends[rest] - starts[rest])
-        ends[rest] -= hi[rest] - lo[rest]
-        copy[_ranges(starts[rest], ends[rest] - starts[rest])] = buf[
-            taken[~np.isin(taken, dropped, assume_unique=True)]]
-    return copy
+        size = ends[rest] - starts[rest] - (hi[rest] - lo[rest])
+        at = source.write(buf[taken[~np.isin(taken, dropped, assume_unique=True)]])
+        starts[rest] = at + np.cumsum(size) - size
+        ends[rest] = starts[rest] + size
 
 
 def _digits(words: np.ndarray, ends: np.ndarray, widths: np.ndarray):
@@ -585,11 +594,12 @@ def _digits(words: np.ndarray, ends: np.ndarray, widths: np.ndarray):
     spells, and whether each holds a byte that is not a digit; a field of
     more than 18 is read in part. Eight digits are read at once, from a
     word with the bytes before the field set to "0"."""
-    value, bad = np.zeros(len(ends), np.uint64), np.zeros(len(ends), bool)
+    value = np.zeros(len(ends), np.uint64)
+    bad = ends > len(words) + 7  # a field written past the data is read as text
     sign, six = np.uint64(0x8080808080808080), np.uint64(0x4646464646464646)
     for at in range(0, min(int(widths.max(initial=0)), 18), 8):
         inside = np.clip(widths - at, 0, 8)
-        word = words[np.maximum(ends - at - 8, 0)] & _LAST[inside] | _ZEROS[inside]
+        word = words[np.clip(ends - at - 8, 0, len(words) - 1)] & _LAST[inside] | _ZEROS[inside]
         bad |= (word - _ZEROS[0] | word + six) & sign != 0  # a byte below "0" or above "9"
         # pairs, then fours, then all eight digits combined in place
         word = (word & np.uint64(0x0F0F0F0F0F0F0F0F)) * np.uint64(10 << 8 | 1) >> np.uint64(8)
@@ -599,24 +609,51 @@ def _digits(words: np.ndarray, ends: np.ndarray, widths: np.ndarray):
     return value.view(np.int64), bad
 
 
-def _word(words: np.ndarray, at: np.ndarray, left: np.ndarray) -> np.ndarray:
-    """The 8 bytes of the data from each of `at` as a little-endian word,
-    zero past the `left` bytes that remain of its id. Most calls need no
-    clamp, and one mask or none, since ids often share their length;
-    skipping the rest takes about a tenth off a parse."""
-    if at.max(initial=0) < len(words):
-        word = words[at]
-    else:
-        top = np.minimum(at, len(words) - 1)  # the last word ends the data
-        word = words[top] >> ((at - top) * 8).astype(np.uint64)
-    low = int(left.min(initial=8))
-    if low < 8:  # one mask for all when it can
-        word &= _KEEP[np.minimum(left, 8)] if left.max() > low else _KEEP[low]
-    return word
+class _Source:
+    """The bytes ids are read from: the data, then, from its length on,
+    the fields that drop quotes inside them, written without those as they
+    are met, so no copy of the data is made."""
+
+    def __init__(self, data: bytes):
+        self.data, self.size = data, len(data)
+        self.words = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))  # a word at each byte
+        self.extra, self.used = np.zeros(8, np.uint8), 0  # written bytes, then zeros
+
+    def write(self, values: np.ndarray) -> int:
+        """Where `values`, written after the bytes written before, start."""
+        at, self.used = self.used, self.used + len(values)
+        if self.used + 8 > len(self.extra):
+            self.extra = np.concatenate([self.extra[:at], np.zeros(self.used + 8, np.uint8)])
+        self.extra[at:self.used] = values
+        return self.size + at
+
+    def __getitem__(self, span: slice) -> bytes:
+        if span.start < self.size:
+            return self.data[span]
+        return self.extra[span.start - self.size:span.stop - self.size].tobytes()
+
+    def word(self, at: np.ndarray, left: np.ndarray) -> np.ndarray:
+        """The 8 bytes from each of `at` as a little-endian word, zero past
+        the `left` bytes that remain of its id. Most calls need no clamp,
+        and one mask or none, since ids often share their length; skipping
+        the rest takes about a tenth off a parse."""
+        if at.max(initial=0) < len(self.words):
+            word = self.words[at]
+        else:
+            top = np.minimum(at, len(self.words) - 1)  # the last word ends the data
+            word = self.words[top] >> ((at - top) * 8).astype(np.uint64)
+            past = (at >= self.size) & (left > 0)  # the bytes written after the data
+            if past.any():
+                extra = np.ndarray((len(self.extra) - 7,), "<u8", self.extra, strides=(1,))
+                word[past] = extra[at[past] - self.size]
+        low = int(left.min(initial=8))
+        if low < 8:  # one mask for all when it can
+            word &= _KEEP[np.minimum(left, 8)] if left.max() > low else _KEEP[low]
+        return word
 
 
-def _group_ids(data: bytes, words: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
-               key: np.ndarray, known: int = 0, read=()):
+def _group_ids(source: _Source, starts: np.ndarray, lengths: np.ndarray, key: np.ndarray,
+               known: int = 0, read=()):
     """Number the ids of `lengths` bytes from `starts`, with hashes `key`,
     so that equal ids share a number: each of the first `known` ids, all
     distinct, keeps its index, and the others are numbered from `known` on
@@ -639,7 +676,7 @@ def _group_ids(data: bytes, words: np.ndarray, starts: np.ndarray, lengths: np.n
     run -= 1
     first = order[new]
     split = np.zeros(len(first), bool)  # the runs whose ids differ
-    split[run[_unlike_previous(words, starts, lengths, order, new, read)]] = True
+    split[run[_unlike_previous(source, starts, lengths, order, new, read)]] = True
     fresh = (first >= known) & ~split
     number = np.cumsum(fresh, dtype=np.int32)
     number += np.int32(known - 1)
@@ -650,7 +687,7 @@ def _group_ids(data: bytes, words: np.ndarray, starts: np.ndarray, lengths: np.n
     if split.any():
         rows = np.sort(order[split[run]])
         seen = {}
-        twin = np.array([seen.setdefault(bytes(data[lo:lo + size]), row) for row, lo, size in zip(
+        twin = np.array([seen.setdefault(source[lo:lo + size], row) for row, lo, size in zip(
             rows.tolist(), starts[rows].tolist(), lengths[rows].tolist())], np.int64)
         outside = twin >= known  # not in the table: numbered after the rest
         ids, twin[outside] = np.unique(twin[outside], return_inverse=True)
@@ -660,7 +697,7 @@ def _group_ids(data: bytes, words: np.ndarray, starts: np.ndarray, lengths: np.n
     return group, first[fresh]
 
 
-def _unlike_previous(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+def _unlike_previous(source: _Source, starts: np.ndarray, lengths: np.ndarray,
                      order: np.ndarray, new: np.ndarray, read) -> np.ndarray:
     """Whether each id, taken in `order`, differs from the one before it in
     its run (`new` marks where runs start), a block of ids at a time: by the
@@ -681,7 +718,7 @@ def _unlike_previous(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
         at, size = starts[ids[rows]], size[rows]
         for offset in range(8 * len(read), int(size.max(initial=0)), 8):
             reach = size > offset  # compared where an id and the one before it reach
-            word = _word(words, at[reach] + offset, size[reach] - offset)
+            word = source.word(at[reach] + offset, size[reach] - offset)
             pair = rows[reach]
             both = pair[1:] == pair[:-1] + 1
             out[pair[1:][both] - 1] |= word[1:][both] != word[:-1][both]
@@ -699,10 +736,12 @@ class _IdColumn:
     plus one block. The first words spare the merges, the byte order and
     the names of short ids any read of the data."""
 
-    def __init__(self, data: bytes, words: np.ndarray, rows: int):
-        self.data, self.words = data, words
+    def __init__(self, source: _Source, rows: int):
+        self.source = source
         self.codes = np.empty(rows, np.int32)
-        offset = np.int32 if len(data) < 2**31 else np.int64  # where a copy starts
+        # where an id starts: below twice the data's size, as fewer bytes
+        # are written after the data than it holds
+        offset = np.int32 if 2 * source.size < 2**31 else np.int64
         self.table = (np.zeros(0, offset), np.zeros(0, np.int32), np.zeros(0, np.uint64),
                       np.zeros(0, np.uint64))
         self.pending, self.waiting, self.merged = [], 0, 0  # groups, their count, rows
@@ -717,11 +756,11 @@ class _IdColumn:
         key, shortest, read = lengths.astype(np.uint64), max(int(lengths.min()), 1), []
         for at in range(0, max(int(lengths.max()), 1), 8):
             rows = slice(None) if at < shortest else np.flatnonzero(lengths > at)
-            word = _word(self.words, starts[rows] + at, lengths[rows] - at)
+            word = self.source.word(starts[rows] + at, lengths[rows] - at)
             key[rows] = (key[rows] ^ word) * _MIX
             if at < shortest:
                 read.append(word)
-        group, first = _group_ids(self.data, self.words, starts, lengths, key, read=read)
+        group, first = _group_ids(self.source, starts, lengths, key, read=read)
         # a group's code counts after the table and the groups already waiting
         self.codes[row:row + len(group)] = group + (len(self.table[0]) + self.waiting)
         self.pending.append((starts[first].astype(self.table[0].dtype), lengths[first],
@@ -738,7 +777,7 @@ class _IdColumn:
         known = len(self.table[0])
         starts, lengths, lead, key = map(np.concatenate, zip(self.table, *self.pending))
         self.table, self.pending, self.waiting = None, [], 0
-        group, first = _group_ids(self.data, self.words, starts, lengths, key, known, (lead,))
+        group, first = _group_ids(self.source, starts, lengths, key, known, (lead,))
         self.table = tuple(np.concatenate([part[:known], part[first]])
                            for part in (starts, lengths, lead, key))
         del starts, lengths, lead, key, first
@@ -754,7 +793,7 @@ class _IdColumn:
             self._merge(len(self.codes))
         starts, lengths, lead = self.table[:3]  # the hashes are freed
         self.table = None
-        order = _byte_order(self.words, starts, lengths, lead)
+        order = _byte_order(self.source, starts, lengths, lead)
         rank = _ranks(order)
         for lo in range(0, len(self.codes), _BLOCK):  # no index copy of the whole column
             self.codes[lo:lo + _BLOCK] = rank[self.codes[lo:lo + _BLOCK]]
@@ -766,27 +805,32 @@ class _IdColumn:
         # the ids of each length decoded and split a slice at a time, so the
         # names are made in their order, and compare fast later: an id of up
         # to 7 bytes is its first word with a "\n" set after it (then NULs), a
-        # longer one is gathered from the data as a record, and a "\n" added
-        by_length = _stable_order(lengths).astype(np.int32)
-        count = np.bincount(lengths)  # ids of each length, so each length's run
-        widths = np.flatnonzero(count)
-        runs = itertools.pairwise([0, *np.cumsum(count[widths]).tolist()])
-        table, data = np.empty(len(starts), dtype=object), self.data
-        for width, (lo, hi) in zip(widths.tolist(), runs):
+        # longer one is gathered from its bytes as a record, and a "\n" added;
+        # the ids written past the data are taken after the others
+        source, top = self.source, int(lengths.max(initial=0)) + 1
+        kind = np.where(starts < source.size, lengths, lengths + top) if source.used else lengths
+        by_kind = _stable_order(kind).astype(np.int32)
+        count = np.bincount(kind)  # ids of each kind, so each kind's run
+        kinds = np.flatnonzero(count)
+        runs = itertools.pairwise([0, *np.cumsum(count[kinds]).tolist()])
+        table = np.empty(len(starts), dtype=object)
+        for kind, (lo, hi) in zip(kinds.tolist(), runs):
+            width, base = kind % top, source.size if kind >= top else 0
+            data = source.extra if base else source.data
             records = np.ndarray((len(data) - width + 1,), f"V{width}", data, strides=(1,))
             step = max(1, _BLOCK_BYTES // 4 // (width + 1))
             for part in range(lo, hi, step):
                 stop = min(part + step, hi)
-                ids = by_length[part:stop]
+                ids = by_kind[part:stop]
                 if width < 8:
                     text, end = lead[ids].copy(), "\n" + "\0" * (7 - width)
                     text |= np.uint64(10 << 8 * width)
                 else:
                     text, end = np.full((stop - part, width + 1), 10, np.uint8), "\n"
-                    text[:, :width] = records[starts[ids]].view(np.uint8).reshape(-1, width)
+                    text[:, :width] = records[starts[ids] - base].view(np.uint8).reshape(-1, width)
                 names = str(text, "utf-8").split(end)
                 if len(names) > stop - part + 1:  # an id holds `end`: decoded one at a time
-                    names = [str(data[at:at + width], "utf-8") for at in starts[ids].tolist()]
+                    names = [str(source[at:at + width], "utf-8") for at in starts[ids].tolist()]
                 table[ids] = np.fromiter(names, object, stop - part)
         return table
 

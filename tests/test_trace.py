@@ -110,9 +110,10 @@ def test_parse_error_bad_header():
     for data in (b"", b"\xef\xbb\xbf"):
         with pytest.raises(TraceParseError, match="line 1: empty input, expected a header line"):
             parse_trace(io.BytesIO(data))
-    # a quoted header field beyond the csv module's size limit
-    with pytest.raises(TraceParseError, match="line 1: field larger than field limit"):
-        parse_trace(io.BytesIO(b'"' + b"x" * 200_000 + b'",doc_id\n'))
+    # a header field beyond the csv module's size limit, quoted or not
+    for field in (b'"' + b"x" * 200_000 + b'"', b"x" * 200_000):
+        with pytest.raises(TraceParseError, match="line 1: field larger than field limit"):
+            parse_trace(io.BytesIO(field + b",doc_id\n"))
 
 
 def test_parse_bom_header_from_path_and_bytes(tmp_path):
@@ -358,18 +359,34 @@ def test_quoted_rows_across_small_blocks(monkeypatch):
     # quoted ids spanning lines and blocks, doubled quotes, text after a
     # closing quote, a quote inside an unquoted id, lone CRs, CRLF and
     # blank lines: the byte scan reads them as the csv reader does, for
-    # any block size, unquoting some ids into a copy of the file
+    # any block size, writing some ids unquoted after the data
     rows = [b'1,"a\nb"', b'2,"x""y"', b'3,"a"b', b'', b'4,a"b', b'5,"' + b"q," * 20 + b'"',
-            b' 6,"c\r\nd"', b'"7",""""', b'+8,e']
+            b' 6,"c\r\nd"', b'"7",""""', b'+8,e', b'9,"' + b'z""' * 9 + b'"',
+            b'"1"0,"x""y"']
     data = (b"timestamp_ms,doc_id\n" + b"\r".join(rows[:4]) + b"\r\n"
             + b"\n".join(rows[4:]) + b"\n\n")
     expected = read_csv(data)
-    assert doc_ids(expected).tolist() == ["a\nb", 'x"y', "ab", 'a"b', "q," * 20, "c\r\nd", '"', "e"]
+    assert doc_ids(expected).tolist() == ["a\nb", 'x"y', "ab", 'a"b', "q," * 20, "c\r\nd", '"', "e",
+                                          'z"' * 9, 'x"y']
+    assert expected.timestamps.tolist() == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
     for size in (16, 64, 1 << 18):
         monkeypatch.setattr(trace_module, "_BLOCK_BYTES", size)
         got = read_with(trace_module._scan, data)
         for field in ("timestamps", "docs", "doc_names"):
             assert getattr(got, field).tolist() == getattr(expected, field).tolist()
+
+
+def test_id_not_utf8_before_a_later_fault(monkeypatch):
+    # an id that is not UTF-8 shows when the names are decoded, or when a
+    # later block holds a fault, and the blocks before it are checked: the
+    # first fault by line is named
+    monkeypatch.setattr(trace_module, "_BLOCK_BYTES", 64)
+    rows = b"1,c\n" * 100
+    for bad in (b"2,\xff", b'2,"\xc3"\xa9'):  # the second is UTF-8 without its quotes
+        data = b"timestamp_ms,doc_id\n" + rows + bad + b"\n" + rows
+        for tail, window in ((b"", None), (b"50,d\n", 10), (b"x,d\n", None)):
+            with pytest.raises(TraceParseError, match="^line 102: doc_id is not valid UTF-8"):
+                parse_trace(io.BytesIO(data + tail), window)
 
 
 def test_hash_collision_splits_group(monkeypatch):
@@ -380,7 +397,6 @@ def test_hash_collision_splits_group(monkeypatch):
     expected = parse_trace(io.BytesIO(data))
     monkeypatch.setattr(trace_module, "_MIX", np.uint64(0))
     monkeypatch.setattr(trace_module, "_BLOCK_BYTES", 16)
-    assert trace_module._scan(data, None) is not None
     got = parse_trace(io.BytesIO(data))
     for field in ("timestamps", "docs", "doc_names", "users", "user_names"):
         assert getattr(got, field).tolist() == getattr(expected, field).tolist()
@@ -397,7 +413,6 @@ def test_hash_collision_splits_group(monkeypatch):
     expected = read_csv(data)
     monkeypatch.setattr(trace_module, "_MERGE_GROUPS", 1)
     got = read_with(trace_module._scan, data)
-    assert got is not None
     for field in ("timestamps", "docs", "doc_names", "users", "user_names"):
         assert getattr(got, field).tolist() == getattr(expected, field).tolist()
     assert got.user_names.tolist() == sorted(users)
@@ -541,11 +556,16 @@ def test_parse_memory_follows_the_ids():
     assert doc_ids(tr).tolist() == docs
 
 
-def test_quoted_parse_memory_follows_the_ids():
+@pytest.mark.parametrize("rows, per_row, first", [
+    (50_000, 50, '"d0"'), (500_000, 32, '"d0"'), (500_000, 32, '"d""0"')])
+def test_quoted_parse_memory_follows_the_ids(rows, per_row, first):
     # one quoted id: the byte scan reads the file in the plain file's
-    # memory, 28.8 bytes a row here (a csv reader that streamed it took 39.4)
-    rows = 500_000
-    data = 'timestamp_ms,doc_id\n0,"d0"\n' + "".join(f"{t},d{t % 100}\n" for t in range(1, rows))
+    # memory, 30.2 and 28.8 bytes a row here (a csv reader that streamed
+    # them took 40.7 and 39.4), as a small file is read in small blocks;
+    # an id that drops a quote inside it is written unquoted after the data,
+    # not into a copy of it
+    data = f"timestamp_ms,doc_id\n0,{first}\n" + "".join(
+        f"{t},d{t % 100}\n" for t in range(1, rows))
     source = io.StringIO(data)  # made untraced: it holds 4 bytes a character
     tracemalloc.start()
     try:
@@ -553,8 +573,9 @@ def test_quoted_parse_memory_follows_the_ids():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * rows
-    assert doc_ids(tr).tolist() == [f"d{t % 100}" for t in range(rows)]
+    assert peak < per_row * rows
+    assert doc_ids(tr).tolist() == [first[1:-1].replace('""', '"')] + [
+        f"d{t % 100}" for t in range(1, rows)]
 
 
 #: 50,000 distinct 6-byte user ids, in a shuffled order
