@@ -151,8 +151,8 @@ class TraceSummary:
             raise ValueError("distinct_docs must equal single + multi counts")
 
 
-#: Bytes of CSV the byte scan, and the serializer, take at a time, so their
-#: working arrays stay a small multiple of this whatever the trace's size.
+#: Bytes of CSV the byte scan (less for a small file) and the serializer take
+#: at a time, so their working arrays stay a small multiple of this at any size.
 _BLOCK_BYTES = 1 << 18
 #: The fewest groups of a column's ids that are merged into its table: a
 #: merge costs more per group than a block, so a small column is merged once.

@@ -145,6 +145,14 @@ def test_parse_timestamp_beyond_window(monkeypatch):
         parse_trace(io.BytesIO(head + b"1,\xff\n50,a\n"), 10)
     with pytest.raises(ValueError, match=f"line {line}: timestamp 50 exceeds window 10"):
         parse_trace(io.BytesIO(head + b"50,\xff\n1,a\n"), 10)
+    # an id that is not UTF-8 blocks before a later fault, or before none:
+    # the names show it, and the blocks before a fault are decoded
+    rows = b"1,c\n" * 100
+    for bad in (b"2,\xff", b'2,"\xc3"\xa9'):  # the second is UTF-8 without its quotes
+        data = b"timestamp_ms,doc_id\n" + rows + bad + b"\n" + rows
+        for tail, window in ((b"", None), (b"50,d\n", 10), (b"x,d\n", None)):
+            with pytest.raises(TraceParseError, match="^line 102: doc_id is not valid UTF-8"):
+                parse_trace(io.BytesIO(data + tail), window)
 
 
 @pytest.mark.parametrize("row, error, message", [
@@ -376,19 +384,6 @@ def test_quoted_rows_across_small_blocks(monkeypatch):
             assert getattr(got, field).tolist() == getattr(expected, field).tolist()
 
 
-def test_id_not_utf8_before_a_later_fault(monkeypatch):
-    # an id that is not UTF-8 shows when the names are decoded, or when a
-    # later block holds a fault, and the blocks before it are checked: the
-    # first fault by line is named
-    monkeypatch.setattr(trace_module, "_BLOCK_BYTES", 64)
-    rows = b"1,c\n" * 100
-    for bad in (b"2,\xff", b'2,"\xc3"\xa9'):  # the second is UTF-8 without its quotes
-        data = b"timestamp_ms,doc_id\n" + rows + bad + b"\n" + rows
-        for tail, window in ((b"", None), (b"50,d\n", 10), (b"x,d\n", None)):
-            with pytest.raises(TraceParseError, match="^line 102: doc_id is not valid UTF-8"):
-                parse_trace(io.BytesIO(data + tail), window)
-
-
 def test_hash_collision_splits_group(monkeypatch):
     # with a multiplier of 0 every id hashes alike: the byte scan finds
     # distinct ids in one group and splits it by their bytes, in each block
@@ -560,10 +555,9 @@ def test_parse_memory_follows_the_ids():
     (50_000, 50, '"d0"'), (500_000, 32, '"d0"'), (500_000, 32, '"d""0"')])
 def test_quoted_parse_memory_follows_the_ids(rows, per_row, first):
     # one quoted id: the byte scan reads the file in the plain file's
-    # memory, 30.2 and 28.8 bytes a row here (a csv reader that streamed
-    # them took 40.7 and 39.4), as a small file is read in small blocks;
-    # an id that drops a quote inside it is written unquoted after the data,
-    # not into a copy of it
+    # memory, 30.2 and 28.8 bytes a row here, a small file in small blocks;
+    # an id that drops a quote inside it is written unquoted after the
+    # data, so the file is not copied
     data = f"timestamp_ms,doc_id\n0,{first}\n" + "".join(
         f"{t},d{t % 100}\n" for t in range(1, rows))
     source = io.StringIO(data)  # made untraced: it holds 4 bytes a character

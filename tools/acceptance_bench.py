@@ -33,7 +33,7 @@ ms, a 3e7 ms window) with generator seed 2024: 2.93 M requests over
   files are the acceptance trace that ``generate`` wrote
   (``acceptance``); the same file with its first doc id quoted
   (``quoted``), and with every doc id quoted and every 100th ending in a
-  doubled quote, so its quote state and its unquoted copy are read
+  doubled quote, so its quote state and the ids it unquotes are read
   (``all_quoted``); a trace of
   many distinct ids (``many_ids``), which another child writes: 3 M rows
   over 2 M ids of 30 bytes each, the numbers of a random permutation with
