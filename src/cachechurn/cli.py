@@ -4,7 +4,8 @@ Subcommands cover the full pipeline: `generate` synthesizes traces,
 `simulate` computes empirical LRU hit-ratio curves, `shuffle` applies the
 trace randomizations, `predict` produces analytic curves (dynamic-catalog
 box model or classic IRM Che baseline), and `validate` cross-checks the
-analytic working set against Monte Carlo.
+analytic working set against Monte Carlo. `generate` and `validate` read
+the generator's parameters from a `--config` JSON file only.
 
 Data outputs are CSV/JSON files; human-readable diagnostics go to stderr.
 Every file-writing run also emits a `<out>.manifest.json` recording the
@@ -12,7 +13,7 @@ exact invocation, sufficient to reproduce the outputs bit-identically.
 
 Exit codes: 0 success, 1 validation failure (only `validate`'s z-test),
 2 usage error, 3 I/O, parse or input error (an input the library rejects,
-such as a trace with no requests).
+such as a trace with no requests or a generator config value out of range).
 """
 
 from __future__ import annotations
@@ -95,24 +96,12 @@ def _parse_t_grid(spec: str, window: int) -> list:
 
 
 def _check_flag_ranges(args) -> None:
-    """Reject a numeric flag below its documented least value, or at it
-    where the bound is strict (NaN fails every bound), or infinite."""
-    for flag, attr, least, strict in (
-        ("--reps", "reps", 2, False),
-        ("--min-requests", "min_requests", 2, False),
-        ("--gap-ms", "gap_ms", 1, False),
-        ("--seed", "seed", 0, False),
-        ("--gamma", "gamma", 0, False),
-        ("--window-ms", "window_ms", 0, True),
-        ("--lambda", "lam", 0, True),
-        ("--tau", "tau", 0, True),
-        ("--warmup-ms", "warmup_ms", 0, False),
-    ):
+    """Reject an integer flag below its documented least value."""
+    for flag, attr, least in (("--reps", "reps", 2), ("--min-requests", "min_requests", 2),
+                              ("--gap-ms", "gap_ms", 1), ("--seed", "seed", 0)):
         value = getattr(args, attr, None)
-        if value is not None and not ((value > least if strict else value >= least)
-                                      and value < np.inf):
-            bound = "finite" if value == np.inf else f"{'>' if strict else '>='} {least}"
-            raise _UsageError(f"{flag} must be {bound}, got {value}")
+        if value is not None and value < least:
+            raise _UsageError(f"{flag} must be >= {least}, got {value}")
 
 
 def _load_trace(path: str, gap_ms: Optional[int]):
@@ -156,34 +145,6 @@ def _write_outputs(out: str, emit, subcommand: str, argv: Sequence[str], meta=No
             with contextlib.suppress(FileNotFoundError):  # a temporary file renamed
                 os.unlink(path)
         raise
-
-
-def _generator_config(args) -> GeneratorConfig:
-    from .synth import GeneratorConfig
-
-    if args.config:
-        return GeneratorConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
-    missing = [
-        flag
-        for flag, value in (
-            ("--gamma", args.gamma),
-            ("--window-ms", args.window_ms),
-            ("--lambda", args.lam),
-            ("--tau", args.tau),
-        )
-        if value is None
-    ]
-    if missing:
-        raise _UsageError(
-            "either --config or all of --gamma/--window-ms/--lambda/--tau "
-            f"are required (missing {', '.join(missing)})"
-        )
-    try:
-        return GeneratorConfig.fixed_pair(
-            args.gamma, args.window_ms, args.lam, args.tau, args.warmup_ms
-        )
-    except ValueError as exc:  # a flag's value outside the config's range
-        raise _UsageError(str(exc)) from None
 
 
 def _cmd_simulate(args, argv) -> int:
@@ -282,10 +243,10 @@ def _cmd_predict(args, argv) -> int:
 
 
 def _cmd_generate(args, argv) -> int:
-    from .synth import generate_box_trace
+    from .synth import GeneratorConfig, generate_box_trace
     from .trace import serialize_trace
 
-    config = _generator_config(args)
+    config = GeneratorConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
     trace = generate_box_trace(config, args.seed)
     _write_outputs(
         args.out, partial(serialize_trace, trace), "generate", argv,
@@ -296,9 +257,9 @@ def _cmd_generate(args, argv) -> int:
 
 def _cmd_validate(args, argv) -> int:
     from .boxmodel import box_working_set
-    from .synth import monte_carlo_distinct_docs
+    from .synth import GeneratorConfig, monte_carlo_distinct_docs
 
-    config = _generator_config(args)
+    config = GeneratorConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
     t_grid = _parse_t_grid(args.t_grid, config.window)
     mc = monte_carlo_distinct_docs(config, t_grid, args.reps, args.seed)
     analytic = box_working_set(mc.t, config.gamma, config.lambdas, config.taus)
@@ -332,15 +293,8 @@ def _cmd_validate(args, argv) -> int:
     return EXIT_OK
 
 
-def _add_generator_flags(sub):
-    sub.add_argument("--config", help="generator config JSON path")
-    sub.add_argument("--gamma", type=float, help="catalog rate, docs per ms")
-    sub.add_argument("--window-ms", type=int, help="observation window, ms")
-    sub.add_argument(
-        "--lambda", dest="lam", type=float, help="fixed request rate, per ms"
-    )
-    sub.add_argument("--tau", type=float, help="fixed lifespan, ms")
-    sub.add_argument("--warmup-ms", type=float, help="publication warmup, ms")
+_CONFIG_HELP = ("generator config JSON path: {gamma, window_ms, warmup_ms?, pairs: "
+                "[[lambda, tau], ...]}; one pair pins every document to it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     pred.set_defaults(func=_cmd_predict)
 
     gen = commands.add_parser("generate", help="generate a synthetic trace")
-    _add_generator_flags(gen)
+    gen.add_argument("--config", required=True, help=_CONFIG_HELP)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_generate)
@@ -393,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     val = commands.add_parser(
         "validate", help="cross-check the analytic working set against Monte Carlo"
     )
-    _add_generator_flags(val)
+    val.add_argument("--config", required=True, help=_CONFIG_HELP)
     val.add_argument("--t-grid", required=True, help="time grid spec, ms")
     val.add_argument("--reps", type=int, default=500)
     val.add_argument("--seed", type=int, default=0)

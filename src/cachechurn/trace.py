@@ -79,7 +79,8 @@ class Trace:
         Non-decreasing request times in milliseconds, all within
         ``[0, window.length]``.
     docs, doc_names : ndarray of int32, ndarray of object
-        Document code per request, and the distinct document identifiers.
+        Document code per request, and the distinct document identifiers,
+        none of them empty.
     users, user_names : ndarray of int32, ndarray of object, optional
         The same for users; both None when the trace carries no users.
     window : ObservationWindow
@@ -97,6 +98,8 @@ class Trace:
         ts = np.asarray(self.timestamps, dtype=np.int64)
         object.__setattr__(self, "timestamps", ts)
         _check_ids(self.docs, self.doc_names, len(ts), "doc")
+        if len(self.doc_names) and self.doc_names[0] == "":  # the least name
+            raise ValueError("empty doc id: a trace file cannot hold one")
         if self.users is not None or self.user_names is not None:
             _check_ids(self.users, self.user_names, len(ts), "user")
         if len(ts):
@@ -284,8 +287,8 @@ def build_trace(
     Sorts stably by timestamp and derives the window from the maximum
     timestamp when `window_length` is not given (at least 1 ms so the
     window stays valid for empty or single-instant traces). An id must be
-    Unicode text, which a trace file can hold: one holding a lone surrogate
-    is a ValueError.
+    Unicode text and a document id must not be empty, as a trace file holds
+    them: a lone surrogate or an empty document id is a ValueError.
     """
     columns = []
     for column, ids in zip(("doc_id", "user_id"), (docs,) if users is None else (docs, users)):

@@ -31,6 +31,27 @@ def trace_file(tmp_path, rng):
     return path
 
 
+def write_config(path, gamma, window_ms, lam, tau, **extra):
+    """A generator config file of one (rate, lifespan) pair, which pins every
+    document to that pair; its path as a str."""
+    path.write_text(json.dumps({"gamma": gamma, "window_ms": window_ms,
+                                "pairs": [[lam, tau]], **extra}))
+    return str(path)
+
+
+@pytest.fixture
+def gen_config(tmp_path_factory):
+    """A one-pair config in a directory of its own, apart from `tmp_path`,
+    whose listing some tests check."""
+    return write_config(tmp_path_factory.mktemp("config") / "gen.json", 0.01, 5000, 0.01, 500)
+
+
+@pytest.fixture
+def placeholders(trace_file, gen_config):
+    """The files that TRACE and CONFIG stand for in an argv."""
+    return {"TRACE": str(trace_file), "CONFIG": gen_config}
+
+
 def read_rows(path):
     with open(path, encoding="utf-8", newline="") as handle:
         return list(csv.reader(handle))
@@ -177,8 +198,7 @@ def test_shuffle_all_zero_reference_hit_ratio(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["validate", "--gamma", "0.01", "--window-ms", "100", "--lambda", "0.1",
-          "--tau", "10", "--t-grid", "10,20", "--reps", "1"], "--reps"),
+        (["validate", "--config", "CONFIG", "--t-grid", "10,20", "--reps", "1"], "--reps"),
         (["predict", "TRACE", "--method", "classic", "--min-requests", "1"],
          "--min-requests"),
         (["simulate", "TRACE", "--gap-ms", "0"], "--gap-ms"),
@@ -187,38 +207,18 @@ def test_shuffle_all_zero_reference_hit_ratio(tmp_path, capsys):
         (["simulate", "TRACE", "--sizes", "1,99999999999999999999"], "--sizes"),
         (["simulate", "TRACE", "--sizes", "log:1:99999999999999999999:3"], "--sizes"),
         (["simulate", "TRACE", "--sizes", "lin:1:99999999999999999999:3"], "--sizes"),
-        (["validate", "--gamma", "0.01", "--window-ms", "100", "--lambda", "0.1",
-          "--tau", "10", "--t-grid", "50,500", "--reps", "3"], "--t-grid"),
-        (["validate", "--gamma", "0.01", "--window-ms", "100", "--lambda", "0.1",
-          "--tau", "10", "--t-grid", "50,nan", "--reps", "3"], "--t-grid"),
+        (["validate", "--config", "CONFIG", "--t-grid", "50,5001", "--reps", "3"], "--t-grid"),
+        (["validate", "--config", "CONFIG", "--t-grid", "50,nan", "--reps", "3"], "--t-grid"),
         (["shuffle", "TRACE", "--kind", "global", "--seed", "-1"], "--seed"),
-        (["generate", "--gamma", "0.01", "--window-ms", "100", "--lambda", "0.1",
-          "--tau", "10", "--seed", "-3"], "--seed"),
-        (["generate", "--gamma", "-1", "--window-ms", "5", "--lambda", "1", "--tau", "2"],
-         "--gamma"),
-        # an infinite generator value is a usage error too
-        (["generate", "--gamma", "inf", "--window-ms", "5", "--lambda", "1", "--tau", "2"],
-         "--gamma must be finite"),
-        (["validate", "--gamma", "0.01", "--window-ms", "100", "--lambda", "inf",
-          "--tau", "10", "--t-grid", "10,20"], "--lambda must be finite"),
-        (["generate", "--gamma", "0.01", "--window-ms", "100", "--lambda", "0.1",
-          "--tau", "inf"], "--tau must be finite"),
-        (["validate", "--gamma", "0.01", "--window-ms", "100", "--lambda", "0.1",
-          "--tau", "10", "--warmup-ms", "inf", "--t-grid", "10,20"], "--warmup-ms must be finite"),
-        (["validate", "--gamma", "nan", "--window-ms", "100", "--lambda", "0.1",
-          "--tau", "10", "--t-grid", "10,20"], "--gamma"),
-        # a window whose request times would overflow int64, and the least past the bound
-        (["generate", "--gamma", "1e-18", "--window-ms", "10000000000000000000",
-          "--lambda", "1e-17", "--tau", "1e18"], "window must be at most 2**52 ms"),
-        (["validate", "--gamma", "1e-15", "--window-ms", str(2**52 + 1), "--lambda", "1e-15",
-          "--tau", "1e15", "--t-grid", "10,20"], "window must be at most 2**52 ms"),
+        (["generate", "--config", "CONFIG", "--seed", "-3"], "--seed"),
     ],
 )
-def test_flag_out_of_range_usage_error(trace_file, tmp_path, capsys, argv, flag):
-    argv = [str(trace_file) if a == "TRACE" else a for a in argv]
+def test_flag_out_of_range_usage_error(placeholders, tmp_path, capsys, argv, flag):
+    argv = [placeholders.get(a, a) for a in argv]
     out = tmp_path / "o.csv"
     assert main(argv + ["--out", str(out)]) == 2
-    assert flag in capsys.readouterr().err
+    err = capsys.readouterr().err  # the range check's message, not argparse's usage line
+    assert err.startswith("usage error: ") and flag in err
     assert not out.exists()
 
 
@@ -287,10 +287,8 @@ def test_predict_box_meta_and_shared_grid(tmp_path):
 
 def test_generate_empty_catalog(tmp_path):
     out = tmp_path / "empty.csv"
-    code = main(
-        ["generate", "--gamma", "0", "--window-ms", "1000", "--lambda", "0.01",
-         "--tau", "100", "--seed", "1", "--out", str(out)]
-    )
+    config = write_config(tmp_path / "gen.json", 0, 1000, 0.01, 100)
+    code = main(["generate", "--config", config, "--seed", "1", "--out", str(out)])
     assert code == 0
     assert out.read_text() == "timestamp_ms,doc_id\n"
 
@@ -298,8 +296,8 @@ def test_generate_empty_catalog(tmp_path):
 def test_generate_at_the_longest_window(tmp_path):
     # every request time, rounded to a millisecond, lies within [0, 2**52]
     out = tmp_path / "far.csv"
-    code = main(["generate", "--gamma", "1e-15", "--window-ms", str(2**52), "--lambda",
-                 "2e-15", "--tau", "4e15", "--seed", "1", "--out", str(out)])
+    config = write_config(tmp_path / "gen.json", 1e-15, 2**52, 2e-15, 4e15)
+    code = main(["generate", "--config", config, "--seed", "1", "--out", str(out)])
     assert code == 0
     trace = parse_trace(str(out), 2**52)
     assert len(trace) > 0 and 0 <= trace.timestamps[0] <= trace.timestamps[-1] <= 2**52
@@ -333,9 +331,16 @@ def test_generate_from_json_config_echoed_in_manifest(tmp_path):
      ('{"gamma": 0.01, "window_ms": 5, "pairs": [[NaN, 100.0]]}', "lambdas must be finite"),
      ('{"gamma": 0.01, "window_ms": 5, "pairs": [[1, Infinity]]}', "taus must be finite"),
      ('{"gamma": NaN, "window_ms": 5, "pairs": [[1, 2]]}', "gamma must be finite"),
+     ('{"gamma": Infinity, "window_ms": 5, "pairs": [[1, 2]]}', "gamma must be finite"),
+     ('{"gamma": 0.01, "window_ms": 5, "pairs": [[Infinity, 2]]}', "lambdas must be finite"),
+     ('{"gamma": 0.01, "window_ms": 5, "warmup_ms": Infinity, "pairs": [[1, 2]]}',
+      "warmup must be finite"),
      ('{"gamma": 0.01, "window_ms": 5, "warmup_ms": -Infinity, "pairs": [[1, 2]]}',
       "warmup must be finite"),
+     # a window whose request times would overflow int64, and the least past the bound
      ('{"gamma": 1e-18, "window_ms": 1e19, "pairs": [[1e-17, 1e18]]}',
+      "window must be at most 2**52 ms"),
+     (f'{{"gamma": 1e-15, "window_ms": {2**52 + 1}, "pairs": [[1e-15, 1e15]]}}',
       "window must be at most 2**52 ms"),
      # values of the wrong kind, which float() and int() would take
      ('{"gamma": 0.01, "window_ms": 2.7, "pairs": [[1, 2]]}', "malformed value"),
@@ -355,16 +360,22 @@ def test_malformed_config_is_parse_error(tmp_path, capsys, command, document, me
     assert not out.exists()
 
 
-def test_generate_requires_config_or_flags(tmp_path, capsys):
-    code = main(["generate", "--gamma", "1", "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert "--window-ms" in capsys.readouterr().err
+@pytest.mark.parametrize("command", [["generate"], ["validate", "--t-grid", "10"]])
+def test_generator_commands_require_config(tmp_path, capsys, command):
+    # a config file is the one way to give the generator's parameters
+    out = tmp_path / "o.csv"
+    assert main(command + ["--out", str(out)]) == 2
+    assert "the following arguments are required: --config" in capsys.readouterr().err
+    config = write_config(tmp_path / "gen.json", 0.01, 5000, 0.01, 500)
+    assert main(command + ["--config", config, "--gamma", "1", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --gamma 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generate_manifest_reruns_byte_identical(tmp_path):
     out = tmp_path / "trace.csv"
-    argv = ["generate", "--gamma", "0.01", "--window-ms", "20000", "--lambda",
-            "0.005", "--tau", "1500", "--seed", "77", "--out", str(out)]
+    config = write_config(tmp_path / "gen.json", 0.01, 20000, 0.005, 1500)
+    argv = ["generate", "--config", config, "--seed", "77", "--out", str(out)]
     assert main(argv) == 0
     first = out.read_bytes()
     manifest = json.loads(Path(f"{out}.manifest.json").read_text())
@@ -374,11 +385,9 @@ def test_generate_manifest_reruns_byte_identical(tmp_path):
 
 def test_validate_format_and_pass(tmp_path):
     out = tmp_path / "val.csv"
-    code = main(
-        ["validate", "--gamma", "0.002", "--window-ms", "4000", "--lambda", "0.001",
-         "--tau", "2000", "--t-grid", "1000,2500,4000", "--reps", "200",
-         "--seed", "6", "--out", str(out)]
-    )
+    config = write_config(tmp_path / "gen.json", 0.002, 4000, 0.001, 2000)
+    code = main(["validate", "--config", config, "--t-grid", "1000,2500,4000", "--reps", "200",
+                 "--seed", "6", "--out", str(out)])
     assert code == 0
     rows = read_rows(out)
     assert rows[0] == ["t_ms", "psi_analytic", "mc_mean", "mc_stderr", "z_score"]
@@ -389,20 +398,18 @@ def test_validate_format_and_pass(tmp_path):
 def test_validate_detects_misspecified_model(tmp_path, capsys):
     # warmup 0 starves the window start of alive documents, so the Monte
     # Carlo counts fall well below the stationary working set
-    code = main(
-        ["validate", "--gamma", "0.01", "--window-ms", "4000", "--lambda", "0.002",
-         "--tau", "4000", "--warmup-ms", "0", "--t-grid", "2000,4000",
-         "--reps", "300", "--seed", "2", "--out", str(tmp_path / "v.csv")]
-    )
+    config = write_config(tmp_path / "gen.json", 0.01, 4000, 0.002, 4000, warmup_ms=0)
+    code = main(["validate", "--config", config, "--t-grid", "2000,4000", "--reps", "300",
+                 "--seed", "2", "--out", str(tmp_path / "v.csv")])
     assert code == 1
     assert "|z|" in capsys.readouterr().err
 
 
-def test_validate_zero_stderr_fails_without_a_warning():
+def test_validate_zero_stderr_fails_without_a_warning(tmp_path):
     # 1e-6 documents expected: every replication sees none, so the stderr is
     # 0 and the mean misses the analytic value; |z| = inf, and no numpy warning
-    proc = run_cli("validate", "--gamma", "1e-9", "--window-ms", "1000", "--lambda", "0.01",
-                   "--tau", "100", "--t-grid", "500", "--reps", "3")
+    config = write_config(tmp_path / "gen.json", 1e-9, 1000, 0.01, 100)
+    proc = run_cli("validate", "--config", config, "--t-grid", "500", "--reps", "3")
     assert proc.returncode == 1
     assert proc.stderr == "validation failed: max |z| = inf > 3\n"
     assert proc.stdout.splitlines()[1].endswith(",0,0,-inf")
@@ -411,32 +418,29 @@ def test_validate_zero_stderr_fails_without_a_warning():
 def test_generate_beyond_memory_is_input_error(tmp_path, capsys):
     # 1e18 documents: numpy refuses the 7 EiB array at once, touching no memory
     out = tmp_path / "o.csv"
-    assert main(["generate", "--gamma", "1e15", "--window-ms", "1000", "--lambda", "1e-9",
-                 "--tau", "10", "--out", str(out)]) == 3
+    config = write_config(tmp_path / "gen.json", 1e15, 1000, 1e-9, 10)
+    assert main(["generate", "--config", config, "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("error: out of memory: ")
-    assert list(tmp_path.iterdir()) == []
-
-
-GENERATOR_FLAGS = ["--gamma", "0.01", "--window-ms", "5000", "--lambda", "0.01", "--tau", "500"]
+    assert list(tmp_path.iterdir()) == [Path(config)]
 
 
 WRITING_COMMANDS = pytest.mark.parametrize("argv", [
     ["simulate", "TRACE"],
     ["predict", "TRACE", "--method", "box", "--sizes", "1,5,20"],
     ["predict", "TRACE", "--method", "classic", "--sizes", "1,5,20"],
-    ["generate", *GENERATOR_FLAGS],
+    ["generate", "--config", "CONFIG"],
     ["shuffle", "TRACE", "--kind", "all", "--sizes", "1,5,20"],
     ["shuffle", "TRACE", "--kind", "local"],
-    ["validate", *GENERATOR_FLAGS, "--t-grid", "1000,5000", "--reps", "5"],
+    ["validate", "--config", "CONFIG", "--t-grid", "1000,5000", "--reps", "5"],
 ], ids=["simulate", "predict-box", "predict-classic", "generate", "shuffle-all",
         "shuffle-local", "validate"])
 
 
 @WRITING_COMMANDS
-def test_unwritable_out_writes_nothing(trace_file, tmp_path, capsys, argv):
+def test_unwritable_out_writes_nothing(placeholders, tmp_path, capsys, argv):
     out = tmp_path / "out"
     out.mkdir()
-    argv = [str(trace_file) if a == "TRACE" else a for a in argv]
+    argv = [placeholders.get(a, a) for a in argv]
     assert main(argv + ["--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("error: ")
     assert list(tmp_path.glob("out.*")) == []
@@ -452,28 +456,28 @@ def test_out_that_is_a_pipe_is_not_replaced(trace_file, tmp_path, capsys):
     assert out.is_fifo()
 
 
-def assert_blocked_run_leaves_nothing(argv, blocking, trace_file, tmp_path, capsys):
+def assert_blocked_run_leaves_nothing(argv, blocking, placeholders, tmp_path, capsys):
     """`argv` with --out out, where each name of `blocking` beside it is a
     directory: the run exits 3 and leaves none of its files, neither <out>
     nor one already renamed into place nor a temporary one."""
     for name in blocking:
         (tmp_path / name).mkdir()
-    argv = [str(trace_file) if a == "TRACE" else a for a in argv]
+    argv = [placeholders.get(a, a) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err.startswith("error: ")
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(blocking | {"trace.csv"})
 
 
 @WRITING_COMMANDS
-def test_unwritable_manifest_leaves_no_output(trace_file, tmp_path, capsys, argv):
+def test_unwritable_manifest_leaves_no_output(placeholders, tmp_path, capsys, argv):
     blocking = {"out.manifest.json"} | ({"out.meta.json"} if "box" in argv else set())
-    assert_blocked_run_leaves_nothing(argv, blocking, trace_file, tmp_path, capsys)
+    assert_blocked_run_leaves_nothing(argv, blocking, placeholders, tmp_path, capsys)
 
 
-def test_unwritable_meta_leaves_no_output(trace_file, tmp_path, capsys):
+def test_unwritable_meta_leaves_no_output(placeholders, tmp_path, capsys):
     # the manifest is renamed into place before the meta file fails
     argv = ["predict", "TRACE", "--method", "box", "--sizes", "1,5,20"]
-    assert_blocked_run_leaves_nothing(argv, {"out.meta.json"}, trace_file, tmp_path, capsys)
+    assert_blocked_run_leaves_nothing(argv, {"out.meta.json"}, placeholders, tmp_path, capsys)
 
 
 def test_out_is_renamed_into_place_last(trace_file, tmp_path, monkeypatch):
@@ -501,11 +505,10 @@ def test_predict_classic_clamp_warning_is_one_line(tmp_path):
                                          ["5", "2.5", "0.333333"]]
 
 
-def test_validate_stdout_when_no_out(capsys):
-    code = main(
-        ["validate", "--gamma", "0.002", "--window-ms", "2000", "--lambda", "0.001",
-         "--tau", "1000", "--t-grid", "1000,2000", "--reps", "50", "--seed", "1"]
-    )
+def test_validate_stdout_when_no_out(tmp_path, capsys):
+    config = write_config(tmp_path / "gen.json", 0.002, 2000, 0.001, 1000)
+    code = main(["validate", "--config", config, "--t-grid", "1000,2000", "--reps", "50",
+                 "--seed", "1"])
     assert code == 0
     out = capsys.readouterr().out
     assert out.startswith("t_ms,psi_analytic,mc_mean,mc_stderr,z_score")
@@ -542,10 +545,11 @@ def test_module_entry_point_passes_the_exit_code(trace_file, tmp_path, argv, cod
         assert len(read_rows(tmp_path / "o.csv")) == 4
 
 
-def test_module_entry_point_writes_every_validate_row_to_stdout():
+def test_module_entry_point_writes_every_validate_row_to_stdout(tmp_path):
     # piped stdout is block-buffered: the rows reach it at the exit flush
-    proc = run_cli("validate", "--gamma", "0.002", "--window-ms", "2000", "--lambda", "0.001",
-                   "--tau", "1000", "--t-grid", "lin:50:2000:40", "--reps", "5", "--seed", "1")
+    config = write_config(tmp_path / "gen.json", 0.002, 2000, 0.001, 1000)
+    proc = run_cli("validate", "--config", config, "--t-grid", "lin:50:2000:40", "--reps", "5",
+                   "--seed", "1")
     assert proc.returncode == 0, proc.stderr
     rows = list(csv.reader(io.StringIO(proc.stdout)))
     assert rows[0] == ["t_ms", "psi_analytic", "mc_mean", "mc_stderr", "z_score"]
@@ -607,16 +611,15 @@ def pool_config(tmp_path):
     (["predict", "TRACE", "--method", "classic"], ["boxmodel", "estimators", "lrusim", "trace"]),
     (["shuffle", "TRACE", "--kind", "all", "--sizes", "lin:1:max:12"],
      ["lrusim", "shuffle", "trace"]),
-    (["generate", "--gamma", "0.01", "--window-ms", "5000", "--lambda", "0.01", "--tau", "500"],
-     ["synth", "trace"]),
     (["generate", "--config", "CONFIG"], ["synth", "trace"]),
-    (["validate", "--config", "CONFIG", "--t-grid", "lin:1000:5000:5", "--reps", "20"],
+    (["generate", "--config", "POOL"], ["synth", "trace"]),
+    (["validate", "--config", "POOL", "--t-grid", "lin:1000:5000:5", "--reps", "20"],
      ["boxmodel", "synth", "trace"]),
 ], ids=["simulate", "predict-box", "predict-classic", "shuffle-all", "generate",
         "generate-config", "validate-config"])
-def test_each_command_loads_only_the_modules_it_runs(trace_file, pool_config, tmp_path,
+def test_each_command_loads_only_the_modules_it_runs(placeholders, pool_config, tmp_path,
                                                      argv, modules):
-    files = {"TRACE": trace_file, "CONFIG": pool_config}
+    files = dict(placeholders, POOL=pool_config)
     argv = [files.get(arg, arg) for arg in argv] + ["--out", "out.csv"]
     code, loaded, numpy_ma = run_probe(COMMAND_PROBE, *argv, cwd=tmp_path)
     assert code == 0

@@ -159,17 +159,6 @@ def affordable(document: dict) -> bool:
     return docs * (1 + requests) <= 5e4 or docs >= 1e17 or docs <= 1e4 and requests >= 1e17
 
 
-def as_flags(document: dict) -> list:
-    """The generator flags that stand for `document`, which has one pair;
-    a value left out of it is a flag left out."""
-    (lam, tau), = document["pairs"]
-    argv = ["--lambda", str(lam), "--tau", str(tau)]
-    for key in "gamma", "window_ms", "warmup_ms":
-        if key in document:
-            argv += ["--" + key.replace("_", "-"), str(document[key])]
-    return argv
-
-
 generator_commands = st.one_of(
     st.tuples(st.just(["generate"]), seeds),
     st.tuples(st.just(["validate"]), seeds,
@@ -180,15 +169,11 @@ generator_commands = st.one_of(
 
 
 @settings(max_examples=120, deadline=None)
-@given(document=documents().filter(affordable), source=st.sampled_from(["json", "flags", "text"]),
+@given(document=documents().filter(affordable), source=st.sampled_from(["json", "text"]),
        text=st.text(max_size=12), command=generator_commands,
        writes=st.sampled_from([True, True, True, False]))
 def test_generator_commands_keep_the_exit_code_contract(document, source, text, command,
                                                          writes):
-    argv = sum(command, [])
-    pairs = document.get("pairs")
-    if source == "flags" and isinstance(pairs, list) and len(pairs) == 1 and len(pairs[0]) == 2:
-        drive(argv + as_flags(document), {}, writes)
-    else:  # NaN and Infinity as json writes them, or any text at all
-        data = text if source == "text" else json.dumps(document)
-        drive(argv + ["--config", "config.json"], {"config.json": data.encode()}, writes)
+    # NaN and Infinity as json writes them, or any text at all
+    data = text if source == "text" else json.dumps(document)
+    drive(sum(command, []) + ["--config", "config.json"], {"config.json": data.encode()}, writes)

@@ -8,7 +8,8 @@ consolidation, user ids and CSV quoting; they were recorded from the tree
 before document and user ids were interned. The three shuffle digests were
 re-recorded at version 0.2.0, when each randomization became whole-array
 draws from one stream. The fixed-pair generate digest, a one-pair pool,
-was recorded before the generator lost its one-pair branch.
+was recorded before the generator lost its one-pair branch; it now comes
+from a one-pair config file.
 """
 
 import csv
@@ -25,6 +26,7 @@ CONFIG = {
     "window_ms": 400_000,
     "pairs": [[0.002, 3000.0], [0.0005, 20000.0], [0.01, 800.0]],
 }
+FIXED_PAIR = {"gamma": 0.004, "window_ms": 400_000, "pairs": [[0.002, 3000.0]]}
 
 GOLDEN = {
     "generate": (
@@ -73,13 +75,13 @@ def sha256(path):
 @pytest.fixture(scope="module")
 def digests(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("golden")
-    cfg = tmp / "config.json"
+    cfg, fixed = tmp / "config.json", tmp / "fixed_pair.json"
     cfg.write_text(json.dumps(CONFIG))
+    fixed.write_text(json.dumps(FIXED_PAIR))
     trace = tmp / "trace.csv"
     runs = {
         "generate": (["generate", "--config", cfg, "--seed", 11], trace),
-        "generate_fixed_pair": (["generate", "--gamma", 0.004, "--window-ms", 400_000,
-                                 "--lambda", 0.002, "--tau", 3000, "--seed", 11],
+        "generate_fixed_pair": (["generate", "--config", fixed, "--seed", 11],
                                 tmp / "fixed_pair.csv"),
         "simulate": (["simulate", trace, "--sizes", "log:1:max:25"], tmp / "sim.csv"),
         "predict_box": (["predict", trace, "--method", "box",

@@ -224,7 +224,7 @@ def test_stack_distances_match_brute_force(requests):
 @settings(max_examples=80, deadline=None)
 @given(
     rows=st.lists(
-        st.tuples(st.integers(0, 2**62), st.text(min_size=1), st.text(min_size=1)),
+        st.tuples(st.integers(0, 2**62), st.text(), st.text()),
         min_size=1,
         max_size=20,
     ),
@@ -233,15 +233,19 @@ def test_stack_distances_match_brute_force(requests):
 @example(rows=[(0, "\udc80x", "u"), (1, "y", "v")], with_users=False)
 @example(rows=[(0, "a,\r\n", "\ud800"), (1, "b", "v")], with_users=True)
 @example(rows=[(0, "a", "\udfff"), (1, '"b"', "v")], with_users=False)  # users not taken
+@example(rows=[(0, "", "u"), (1, "b", "v")], with_users=False)  # an empty doc id is refused
+@example(rows=[(0, "a", ""), (1, "b", "v")], with_users=True)  # an empty user id is kept
 def test_serialize_parse_round_trip(rows, with_users):
     # whatever build_trace accepts is written and read back as it was; it
-    # refuses an id with a lone surrogate, which has no UTF-8 form
+    # refuses an id with a lone surrogate, which has no UTF-8 form, and an
+    # empty doc id, which the parser refuses
     users = [u for _, _, u in rows] if with_users else None
     try:
         trace = build_trace([t for t, _, _ in rows], [d for _, d, _ in rows], users)
-    except ValueError:  # only an id that is not Unicode text is refused
+    except ValueError:  # only an id that is not Unicode text, or an empty doc id
         ids = [d for _, d, _ in rows] + (users or [])
-        assert any("\ud800" <= char <= "\udfff" for name in ids for char in name)
+        assert (any("\ud800" <= char <= "\udfff" for name in ids for char in name)
+                or "" in [d for _, d, _ in rows])
         return
     buf = io.StringIO()
     serialize_trace(trace, buf)
@@ -326,7 +330,8 @@ def reference_csv(trace):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    rows=st.lists(st.tuples(st.integers(0, 2**63 - 1), st.text(max_size=12),
+    # an empty doc id is no trace's (an empty user id is)
+    rows=st.lists(st.tuples(st.integers(0, 2**63 - 1), st.text(min_size=1, max_size=12),
                             st.text(max_size=12)), max_size=30),
     with_users=st.booleans(),
 )
@@ -530,6 +535,8 @@ def test_manifests_parse_to_their_indented_rendering(tmp_path, monkeypatch):
     lams, taus = rng.uniform(0.002, 0.01, 40), rng.uniform(200, 2000, 40)
     Path("pool.json").write_text(json.dumps(
         {"gamma": 0.01, "window_ms": 5000, "pairs": np.column_stack((lams, taus)).tolist()}))
+    Path("pair.json").write_text(json.dumps(
+        {"gamma": 0.002, "window_ms": 2000, "pairs": [[0.001, 1000]]}))
 
     def config(gamma, window, lams, taus, warmup):
         return {"gamma": gamma, "window_ms": window, "warmup_ms": warmup,
@@ -546,8 +553,8 @@ def test_manifests_parse_to_their_indented_rendering(tmp_path, monkeypatch):
         (["generate", "--config", "pool.json", "--seed", "4"],
          dict(seed=4, config=config(0.01, 5000, lams, taus,
                                     float(np.percentile(taus, WARMUP_TAU_PERCENTILE))))),
-        (["validate", "--gamma", "0.002", "--window-ms", "2000", "--lambda", "0.001",
-          "--tau", "1000", "--t-grid", "1000,2000", "--reps", "20", "--seed", "1"],
+        (["validate", "--config", "pair.json", "--t-grid", "1000,2000", "--reps", "20",
+          "--seed", "1"],
          dict(seed=1, reps=20, t_grid="1000,2000",
               config=config(0.002, 2000, [0.001], [1000.0], 1000.0))),
     ]

@@ -160,6 +160,8 @@ def test_parse_timestamp_beyond_window(monkeypatch):
     (b"7," + b"x" * 200_000, TraceParseError, "field larger than field limit"),
     (b"7,\xff", TraceParseError, "doc_id is not valid UTF-8"),
     (b"50,a", ValueError, "timestamp 50 exceeds window 10"),
+    (b"7,", TraceParseError, "empty doc_id"),
+    (b'7,""', TraceParseError, "empty doc_id"),  # a quote pair narrowed to nothing
 ])
 def test_parse_error_line_past_first_block(monkeypatch, row, error, message):
     # a quoted id spanning two lines in the first block, and the fault in a
@@ -355,9 +357,10 @@ def test_small_blocks_change_nothing(monkeypatch, rng):
     monkeypatch.setattr(trace_module, "_BLOCK_BYTES", 16)
     monkeypatch.setattr(trace_module, "_MERGE_GROUPS", 1)
     got = parse_trace(io.BytesIO(data))
-    assert trace_module._scan(data, None) is not None
+    reference = read_csv(data)
     for field in ("timestamps", "docs", "doc_names", "users", "user_names"):
-        assert getattr(got, field).tolist() == getattr(expected, field).tolist()
+        assert (getattr(got, field).tolist() == getattr(expected, field).tolist()
+                == getattr(reference, field).tolist())
     again = io.StringIO()
     serialize_trace(got, again)
     assert again.getvalue() == buf.getvalue()
